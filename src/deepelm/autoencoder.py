@@ -17,7 +17,7 @@ normalized into [0, 1] first (see deepelm.normalize).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logit

@@ -14,7 +14,7 @@ summed reconstruction error over its voting samples, then to sort order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,6 +7,11 @@ for more samples than hidden units, dual otherwise), the orthogonal
 Procrustes solver used when input and layer widths coincide, and the
 two-stage ELM fit built from them.
 
+All dense linear algebra goes through NumPy's LAPACK. SciPy is used only
+for the expit/logit ufuncs, which never call BLAS: SciPy ships its own
+OpenBLAS with its own thread pool, and two multi-threaded pools woken in
+turn compete for the same cores.
+
 Conventions: feature matrices are (d, s) with one sample per column.
 Solver design matrices are (samples, features) with one sample per row, so
 the fitted weights satisfy ``psi(x_j) @ B ~= t_j`` row-wise.
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.special import expit
 
 from .errors import NumericError
@@ -125,21 +129,25 @@ def _checked_ridge_inputs(H, T, C) -> tuple[np.ndarray, np.ndarray]:
     return H, T
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for symmetric positive definite A.
-
-    Cholesky first; a pivoted LU factorization covers the case where
-    rounding pushes a barely-definite matrix past Cholesky.
-    """
+def _lu_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve A x = rhs by pivoted LU, or return None when A is singular."""
     try:
-        c, low = scipy.linalg.cho_factor(A, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+        return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-        return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        return None
 
 
-def _checked_result(B: np.ndarray) -> np.ndarray:
+def _finite_or_lstsq(B: np.ndarray | None, H: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """B if it is finite, else the minimum-norm least-squares weights.
+
+    At very large C the ridge term 1/C cannot lift a rank-deficient Gram
+    matrix off singularity, and its solve fails or overflows. Minimum-norm
+    least squares is the C -> infinity limit of the ridge (Huang et al.
+    2012), so it stands in for the failed solve.
+    """
+    if B is not None and np.isfinite(B).all():
+        return B
+    B = np.linalg.lstsq(H, T, rcond=None)[0]
     if not np.isfinite(B).all():
         raise NumericError("ridge solve produced non-finite output weights")
     return B
@@ -148,25 +156,28 @@ def _checked_result(B: np.ndarray) -> np.ndarray:
 def solve_ridge_overdetermined(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     """Output weights solving (HtH + I/C) B = HtT.
 
-    Intended for N >= n_h. The regularized Gram matrix is solved directly;
-    it is never inverted explicitly.
+    Intended for N >= n_h. The regularized Gram matrix is solved directly
+    by LU; it is never inverted explicitly. If that solve fails, the
+    minimum-norm least-squares weights are returned instead.
     """
     H, T = _checked_ridge_inputs(H, T, C)
     gram = H.T @ H
     gram[np.diag_indices_from(gram)] += 1.0 / C
-    return _checked_result(_solve_spd(gram, H.T @ T))
+    return _finite_or_lstsq(_lu_solve(gram, H.T @ T), H, T)
 
 
 def solve_ridge_underdetermined(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     """Output weights B = Ht (HHt + I/C)^-1 T for the N < n_h regime.
 
-    Solving the small N x N system and left-multiplying by Ht keeps B in
-    the row space of H (the minimum-norm family).
+    Solving the small N x N system by LU and left-multiplying by Ht keeps B
+    in the row space of H (the minimum-norm family). If that solve fails,
+    the minimum-norm least-squares weights are returned instead.
     """
     H, T = _checked_ridge_inputs(H, T, C)
     gram = H @ H.T
     gram[np.diag_indices_from(gram)] += 1.0 / C
-    return _checked_result(H.T @ _solve_spd(gram, T))
+    A = _lu_solve(gram, T)
+    return _finite_or_lstsq(None if A is None else H.T @ A, H, T)
 
 
 def solve_ridge(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:

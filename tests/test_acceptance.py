@@ -56,7 +56,7 @@ def mp_normal_equation_oracle(H: np.ndarray, T: np.ndarray, C: float) -> np.ndar
     """Dense primal normal-equation solve in 40-digit arithmetic.
 
     Solves (HtH + I/C) B = HtT directly. Independent of the library's
-    primal/dual dispatch and of its Cholesky backend, and precise enough to
+    primal/dual dispatch and of its LAPACK backend, and precise enough to
     stay trustworthy even where float64 normal equations degrade (the
     underdetermined large-C regime).
     """

@@ -12,11 +12,13 @@ from deepelm import (
     DataError,
     Gallery,
     ImageSet,
+    SynthParams,
     TrainConfig,
     classify_sample,
     classify_set,
     normalize_gallery,
     reconstruction_error,
+    synth_generate,
     train_all,
     train_class_specific,
     train_delm,
@@ -142,6 +144,22 @@ class TestTrainAll:
         for lab in a.class_labels:
             for Wa, Wb in zip(a.per_class[lab].weights, b.per_class[lab].weights):
                 assert np.array_equal(Wa, Wb)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_rank_deficient_decode_trains(self, seed):
+        # 60 samples per class through widths (200, 50) leave the decode
+        # Gram matrix singular at C_final = 1e18; the ridge falls back to
+        # minimum-norm least squares instead of raising NumericError.
+        gallery = synth_generate(SynthParams(classes=5, sets_per_class=3,
+                                             samples_per_set=20, feature_dim=50,
+                                             seed=seed))
+        norm, stats = normalize_gallery(gallery)
+        models = train_all(norm, TrainConfig(layer_widths=(200, 50)), feature_stats=stats)
+        for model in [models.global_model, *models.per_class.values()]:
+            assert all(np.isfinite(W).all() for W in model.weights)
+        pred = classify_set(norm.sets[0], models)
+        assert np.isfinite(pred.per_sample_errors).all()
+        assert pred.set_label in models.class_labels
 
     def test_rejects_single_class(self):
         gallery = make_blob_gallery(classes=1, sets_per_class=2, samples_per_set=6,

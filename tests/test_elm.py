@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deepelm import (
     HiddenLayerParams,
+    NumericError,
     SIGMOID,
     activate,
     elm_predict,
@@ -23,9 +28,15 @@ def ridge_objective(H, T, B, C):
 
 
 def normal_equation_oracle(H, T, C):
-    """Dense solve of (HtH + I/C) B = HtT, independent of the library path."""
-    n = H.shape[1]
-    return np.linalg.solve(H.T @ H + np.eye(n) / C, H.T @ T)
+    """Ridge weights as the least-squares fit of [H; I/sqrt(C)] B ~= [T; 0].
+
+    Its normal equations are (HtH + I/C) B = HtT, but it never forms or
+    solves the Gram system, so it is independent of the library path.
+    """
+    n, q = H.shape[1], T.shape[1]
+    A = np.vstack([H, np.eye(n) / math.sqrt(C)])
+    rhs = np.vstack([T, np.zeros((n, q))])
+    return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
 class TestActivation:
@@ -218,6 +229,67 @@ class TestRidgeSolvers:
             solve_ridge(bad, T, 1.0)
         with pytest.raises(ValueError, match="sample"):
             solve_ridge(H, np.ones((4, 1)), 1.0)
+
+
+class TestRidgeMinimumNormFallback:
+    """At C -> infinity the ridge is minimum-norm least squares. A singular
+    Gram matrix falls back to that limit instead of failing."""
+
+    def test_overdetermined_singular_gram(self):
+        rng = np.random.default_rng(37)
+        col = rng.normal(size=(12, 1))
+        H = np.hstack([col, col, rng.normal(size=(12, 2))])
+        T = rng.normal(size=(12, 3))
+        B = solve_ridge_overdetermined(H, T, 1e18)
+        assert np.isfinite(B).all()
+        assert np.allclose(B, np.linalg.pinv(H) @ T, rtol=1e-8, atol=1e-10)
+
+    def test_underdetermined_singular_gram(self):
+        rng = np.random.default_rng(41)
+        row = rng.normal(size=(1, 9))
+        H = np.vstack([row, row, rng.normal(size=(2, 9))])
+        T = rng.normal(size=(4, 2))
+        B = solve_ridge_underdetermined(H, T, 1e18)
+        assert np.isfinite(B).all()
+        assert np.allclose(B, np.linalg.pinv(H) @ T, rtol=1e-8, atol=1e-10)
+
+    def test_non_finite_fallback_raises_numeric_error(self, monkeypatch):
+        def failing_lstsq(a, b, rcond=None):
+            return np.full((a.shape[1], b.shape[1]), np.inf), None, 0, None
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+        H = np.ones((4, 2))
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_ridge_overdetermined(H, np.ones((4, 1)), 1e18)
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_ridge_underdetermined(H.T, np.ones((2, 1)), 1e18)
+
+
+ONE_POOL_SCRIPT = """
+import sys
+from deepelm import (SynthParams, TrainConfig, classify_set, normalize_gallery,
+                     synth_generate, train_all)
+
+gallery = synth_generate(SynthParams(classes=3, sets_per_class=2, samples_per_set=10,
+                                     feature_dim=12, seed=0))
+norm, stats = normalize_gallery(gallery)
+models = train_all(norm, TrainConfig(layer_widths=(12, 6)), feature_stats=stats)
+classify_set(norm.sets[0], models)
+assert "scipy.linalg" not in sys.modules, (
+    "scipy.linalg was imported: SciPy's OpenBLAS would start a second BLAS "
+    "thread pool, and two pools contend for the same cores"
+)
+"""
+
+
+def test_training_and_classification_never_import_scipy_linalg():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_POOL_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestOrthogonalProcrustes:
