@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit
 
 from .elm import (
     SIGMOID,
@@ -32,6 +31,17 @@ from .elm import (
     solve_ridge,
 )
 from .normalize import DEFAULT_EPSILON, NormalizationStats
+
+
+def logit(p):
+    """log(p / (1 - p)) elementwise, the inverse of the sigmoid on (0, 1).
+
+    Computed in one fresh buffer: the decode targets of a whole gallery
+    pass through here while training's peak memory is being set.
+    """
+    out = np.subtract(1.0, p)
+    np.divide(p, out, out=out)
+    return np.log(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -51,12 +61,17 @@ class LayerSpec:
 
 @dataclass(eq=False)
 class DELMModel:
-    """Trained deep ELM auto-encoder.
+    """Trained deep ELM auto-encoder, or a stack of them.
 
     weights[i] maps dims[i]-dimensional column vectors to dims[i+1], and
     dims[0] == dims[-1] == the feature dimension. feature_stats records the
     normalization applied to the training data so probes can be mapped into
     the same range; it may be None for data trained in [0, 1] directly.
+
+    A stack of k models with one architecture and activation holds every
+    layer as one (k, dims[i+1], dims[i]) array; slice j of every layer is
+    model j. Reconstruction then runs all k models at once and returns one
+    result per model along a leading axis.
     """
 
     weights: list[np.ndarray]
@@ -75,8 +90,11 @@ class DELMModel:
             )
         if self.dims[0] != self.dims[-1]:
             raise ValueError(f"model must close on its input space, dims {self.dims}")
+        if self.activation != SIGMOID:
+            raise ValueError(f"unsupported activation {self.activation!r}")
+        stack = self.weights[0].shape[:-2]
         for i, W in enumerate(self.weights):
-            expect = (self.dims[i + 1], self.dims[i])
+            expect = (*stack, self.dims[i + 1], self.dims[i])
             if W.shape != expect:
                 raise ValueError(f"weights[{i}] has shape {W.shape}, expected {expect}")
             if not np.isfinite(W).all():
@@ -194,10 +212,12 @@ def train_delm(
 
 
 def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:
-    """Pass x through the full stack: g(W_last ... g(W_1 x)).
+    """Pass x through every layer: g(W_last ... g(W_1 x)).
 
     Accepts a (d,) vector or a (d, s) matrix; the output matches the input
-    shape with every entry in (0, 1).
+    shape with every entry in (0, 1). A stack of k models prepends an axis
+    of length k. Each layer of a stack is one batched matmul, and each
+    model's result is bit for bit the one it gives reconstructing alone.
     """
     H = np.asarray(x, dtype=float)
     vec = H.ndim == 1
@@ -209,16 +229,20 @@ def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:
         )
     for W in model.weights:
         H = activate(model.activation, W @ H)
-    return H[:, 0] if vec else H
+    return H[..., 0] if vec else H
 
 
 def reconstruction_error(model: DELMModel, x: np.ndarray):
     """Squared Euclidean distance between x and its reconstruction.
 
-    Returns a scalar for a (d,) vector or a (s,) array for a (d, s) matrix.
+    Returns a scalar for a (d,) vector or a (s,) array for a (d, s) matrix;
+    a stack of k models prepends an axis of length k.
     """
     x = np.asarray(x, dtype=float)
-    diff = x - reconstruct(model, x)
-    if diff.ndim == 1:
-        return float(np.dot(diff, diff))
-    return np.einsum("ij,ij->j", diff, diff)
+    vec = x.ndim == 1
+    X = x[:, None] if vec else x
+    diff = X - reconstruct(model, X)
+    err = np.einsum("...ij,...ij->...j", diff, diff)
+    if not vec:
+        return err
+    return float(err[0]) if err.ndim == 1 else err[..., 0]

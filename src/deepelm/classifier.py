@@ -14,6 +14,7 @@ summed reconstruction error over its voting samples, then to sort order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,19 +74,65 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class ClassModels:
-    """Global model plus one reconstruction model per gallery class."""
+    """Global model plus the per-class reconstruction models, stacked.
+
+    class_stack holds every class model in one DELMModel: layer i is a
+    (c, dims[i+1], dims[i]) array whose slice k belongs to class_labels[k],
+    and the labels are in sorted order. Probes of every class are mapped
+    with the global model's feature stats; the stack holds no copy of them.
+    """
 
     global_model: DELMModel
-    per_class: dict[str, DELMModel]
+    class_labels: tuple[str, ...]
+    class_stack: DELMModel
     config: TrainConfig
 
     def __post_init__(self):
-        if not self.per_class:
-            raise ValueError("per_class models missing")
+        labels = self.class_labels = tuple(self.class_labels)
+        if not labels or any(a >= b for a, b in zip(labels, labels[1:])):
+            raise ValueError(f"class labels must be non-empty, unique and sorted, got {labels}")
+        stack = self.class_stack
+        if stack.weights[0].shape[:-2] != (len(labels),):
+            raise ValueError(
+                f"class stack of shape {stack.weights[0].shape} does not hold "
+                f"one model for each of {len(labels)} labels"
+            )
+        if stack.dims != self.global_model.dims:
+            raise ValueError(
+                f"class models with dims {stack.dims} differ from the global "
+                f"model's {self.global_model.dims}"
+            )
+        if stack.dims[1:-1] != self.config.layer_widths:
+            raise ValueError(
+                f"models with dims {stack.dims} do not match the configured "
+                f"widths {self.config.layer_widths}"
+            )
 
-    @property
-    def class_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self.per_class))
+    @classmethod
+    def from_models(
+        cls,
+        global_model: DELMModel,
+        per_class: Mapping[str, DELMModel],
+        config: TrainConfig,
+    ) -> ClassModels:
+        """Stack one model per class label, in sorted label order.
+
+        Each class model must carry the global model's feature stats, since
+        the stack keeps them only once, on the global model.
+        """
+        if not per_class:
+            raise ValueError("per-class models missing")
+        labels = tuple(sorted(per_class))
+        for lab in labels:
+            if not _same_stats(per_class[lab].feature_stats, global_model.feature_stats):
+                raise ValueError(f"class '{lab}' has feature stats other than the global model's")
+        layers = zip(*(per_class[lab].weights for lab in labels))
+        stack = DELMModel(
+            weights=[np.stack(layer) for layer in layers],
+            dims=global_model.dims,
+            activation=global_model.activation,
+        )
+        return cls(global_model, labels, stack, config)
 
     @property
     def feature_dim(self) -> int:
@@ -162,7 +209,20 @@ def train_all(
         members = [s for s in gallery.sets if s.label == label]
         merged = ImageSet(concat_features(members), label, set_id=label)
         per_class[label] = train_class_specific(global_model, merged, config)
-    return ClassModels(global_model=global_model, per_class=per_class, config=config)
+    return ClassModels.from_models(global_model, per_class, config)
+
+
+def _same_stats(a: NormalizationStats | None, b: NormalizationStats | None) -> bool:
+    if a is b:
+        return True
+    return (
+        a is not None
+        and b is not None
+        and a.epsilon == b.epsilon
+        and a.per_dimension == b.per_dimension
+        and a.lo.tobytes() == b.lo.tobytes()
+        and a.hi.tobytes() == b.hi.tobytes()
+    )
 
 
 def _probe_matrix(models: ClassModels, X: np.ndarray) -> np.ndarray:
@@ -175,19 +235,17 @@ def classify_sample(x: np.ndarray, models: ClassModels) -> tuple[str, np.ndarray
     """Label one raw feature vector by minimum reconstruction error.
 
     Returns (label, errors) with one error per class in sorted label order;
-    ties go to the first label in that order.
+    ties go to the first label in that order. The errors are those of a
+    one-sample classify_set.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != models.feature_dim:
         raise ValueError(
             f"probe of shape {x.shape} incompatible with model dimension {models.feature_dim}"
         )
-    labels = models.class_labels
-    xn = _probe_matrix(models, x)
-    errors = np.array(
-        [reconstruction_error(models.per_class[lab], xn) for lab in labels]
-    )
-    return labels[int(np.argmin(errors))], errors
+    xn = _probe_matrix(models, x[:, None])
+    errors = reconstruction_error(models.class_stack, xn)[:, 0]
+    return models.class_labels[int(np.argmin(errors))], errors
 
 
 def classify_set(probe: ImageSet, models: ClassModels) -> SetPrediction:
@@ -200,14 +258,11 @@ def classify_set(probe: ImageSet, models: ClassModels) -> SetPrediction:
         )
     labels = models.class_labels
     Xn = _probe_matrix(models, X)
-    errors = np.column_stack(
-        [reconstruction_error(models.per_class[lab], Xn) for lab in labels]
-    )
+    errors = np.ascontiguousarray(reconstruction_error(models.class_stack, Xn).T)
     winner_idx = errors.argmin(axis=1)
-    per_sample_labels = tuple(labels[i] for i in winner_idx)
-    counts = {lab: int(np.sum(winner_idx == j)) for j, lab in enumerate(labels)}
-    top = max(counts.values())
-    tied = [j for j, lab in enumerate(labels) if counts[lab] == top]
+    per_sample_labels = tuple(labels[i] for i in winner_idx.tolist())
+    counts = np.bincount(winner_idx, minlength=len(labels))
+    tied = np.flatnonzero(counts == counts.max()).tolist()
     if len(tied) > 1:
         # Break vote ties by the evidence: smallest total error over the
         # samples that voted for the label, then sort order.
@@ -216,5 +271,5 @@ def classify_set(probe: ImageSet, models: ClassModels) -> SetPrediction:
         set_label=labels[tied[0]],
         per_sample_labels=per_sample_labels,
         per_sample_errors=errors,
-        vote_counts=counts,
+        vote_counts=dict(zip(labels, counts.tolist())),
     )

@@ -7,8 +7,8 @@ for more samples than hidden units, dual otherwise), the orthogonal
 Procrustes solver used when input and layer widths coincide, and the
 two-stage ELM fit built from them.
 
-All dense linear algebra goes through NumPy's LAPACK. SciPy is used only
-for the expit/logit ufuncs, which never call BLAS: SciPy ships its own
+All numerics run on NumPy: dense linear algebra on its LAPACK, and the
+sigmoid on its ufuncs. SciPy is not imported at run time: it ships its own
 OpenBLAS with its own thread pool, and two multi-threaded pools woken in
 turn compete for the same cores.
 
@@ -23,19 +23,36 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError
 
 SIGMOID = "sigmoid"
 
-_ACTIVATIONS = {SIGMOID: expit}
+
+def _sigmoid(u):
+    """1 / (1 + exp(-u)) elementwise, into one fresh buffer.
+
+    exp(-u) overflows to inf for u below about -709.8, and the reciprocal
+    then saturates to exactly 0; the overflow is expected and not warned
+    about. The argument is never modified; a scalar gives a scalar.
+    """
+    x = np.asarray(u, dtype=float)
+    out = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out if out.ndim else out[()]
+
+
+_ACTIVATIONS = {SIGMOID: _sigmoid}
 
 
 def activate(kind: str, u):
     """Apply the activation named by kind elementwise to a scalar or array.
 
-    The sigmoid saturates gracefully for large |u| instead of overflowing.
+    The sigmoid saturates to exactly 0 or 1 for large |u| instead of
+    overflowing.
     """
     try:
         fn = _ACTIVATIONS[kind]

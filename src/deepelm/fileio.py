@@ -92,7 +92,11 @@ class Reader:
         return self.unpack("<d")[0]
 
     def text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        start = self.pos
+        try:
+            return self.take(self.u16()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.source}: invalid UTF-8 text at offset {start}") from None
 
     def done(self) -> None:
         if self.pos != len(self.buf):

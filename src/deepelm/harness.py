@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ClassModels, TrainConfig, classify_set, train_all
+from .classifier import TrainConfig, classify_set, train_all
 from .datasets import Gallery, ImageSet, canonical_sets, normalize_gallery
 from .errors import ConfigError
 
@@ -207,6 +207,29 @@ def _traced(fn):
     return result, seconds, max(0, peak - baseline)
 
 
+def _train_and_test(gallery: Gallery, probes: list[ImageSet], config: TrainConfig):
+    """Normalize and train on the gallery, then classify every probe set.
+
+    Returns (accuracy over the labeled probes, or 0.0 without any;
+    training seconds; summed classification seconds; training peak bytes).
+    """
+    norm_gal, stats = normalize_gallery(gallery)
+    models, train_s, peak = _traced(
+        lambda: train_all(norm_gal, config, feature_stats=stats)
+    )
+    test_s = 0.0
+    correct = labeled = 0
+    for probe in probes:
+        t0 = time.perf_counter()
+        pred = classify_set(probe, models)
+        test_s += time.perf_counter() - t0
+        if probe.label is not None:
+            labeled += 1
+            correct += pred.set_label == probe.label
+    accuracy = 100.0 * correct / labeled if labeled else 0.0
+    return accuracy, train_s, test_s, peak
+
+
 def _evaluate_fold(
     gal_sets: list[ImageSet],
     probe_sets: list[ImageSet],
@@ -221,19 +244,7 @@ def _evaluate_fold(
     gal, probe_sets = inject_noise(
         gal, probe_sets, spec.noise_mode, seed=[spec.seed, fold, 2]
     )
-    norm_gal, stats = normalize_gallery(gal)
-    models, train_s, peak = _traced(
-        lambda: train_all(norm_gal, config, feature_stats=stats)
-    )
-    correct = 0
-    test_s = 0.0
-    for probe in probe_sets:
-        t0 = time.perf_counter()
-        pred = classify_set(probe, models)
-        test_s += time.perf_counter() - t0
-        if pred.set_label == probe.label:
-            correct += 1
-    accuracy = 100.0 * correct / len(probe_sets)
+    accuracy, train_s, test_s, peak = _train_and_test(gal, probe_sets, config)
     max_set = max(s.n_samples for s in list(gal.sets) + list(probe_sets))
     return accuracy, train_s, test_s, len(probe_sets), peak, max_set
 
@@ -280,20 +291,7 @@ def measure_run(
     Timings are wall clock; memory is the allocation-accounting peak while
     training. Accuracy is computed over whichever probes carry labels.
     """
-    norm_gal, stats = normalize_gallery(gallery)
-    models, train_s, peak = _traced(
-        lambda: train_all(norm_gal, config, feature_stats=stats)
-    )
-    test_s = 0.0
-    correct = labeled = 0
-    for probe in probes:
-        t0 = time.perf_counter()
-        pred = classify_set(probe, models)
-        test_s += time.perf_counter() - t0
-        if probe.label is not None:
-            labeled += 1
-            correct += pred.set_label == probe.label
-    accuracy = 100.0 * correct / labeled if labeled else 0.0
+    accuracy, train_s, test_s, peak = _train_and_test(gallery, probes, config)
     summary = {
         "classes": len(gallery.classes),
         "sets": len(gallery.sets),

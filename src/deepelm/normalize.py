@@ -34,6 +34,8 @@ class NormalizationStats:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("stats lo/hi must be matching 1-d arrays")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("stats lo/hi must be finite")
         if np.any(self.hi < self.lo):
             raise ValueError("stats require hi >= lo in every dimension")
 

@@ -1,41 +1,58 @@
 """Versioned binary containers for trained models.
 
-Single-model container ("DLMM"): format version, activation tag, dims
-list, optional normalization stats, then each weight matrix as row-major
-float64 with an explicit (rows, cols) header. Bundle container ("DLMC")
-wraps the training config, the ordered class labels, the global model and
-one model per class. Everything is little-endian with a trailing CRC32;
-round-trips are bit-exact.
+Single-model container ("DLMM", version 1): format version, activation
+tag, dims list, optional normalization stats, then each weight matrix as
+row-major float64 with an explicit (rows, cols) header.
+
+Bundle container ("DLMC"): the training config, the ordered class labels
+and the global model as a DLMM blob, which carries the feature stats.
+Version 2 then holds each layer of the per-class models as one row-major
+float64 (c, rows, cols) array with its shape header. Version 1, which is
+still read, held one DLMM blob per class instead.
+
+Everything is little-endian with a trailing CRC32; round-trips are
+bit-exact. A file that does not decode to a valid model raises DataError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .autoencoder import DELMModel
 from .classifier import ClassModels, TrainConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fileio import Reader, pack_text, seal, unseal, write_atomic
 from .normalize import NormalizationStats
 
 MODEL_MAGIC = b"DLMM"
 BUNDLE_MAGIC = b"DLMC"
 MODEL_FORMAT_VERSION = 1
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSIONS = (1, 2)
+
+
+@contextmanager
+def _decoding(source: str):
+    """Turn the construction errors of decoded fields into DataError."""
+    try:
+        yield
+    except (ValueError, ConfigError) as exc:
+        raise DataError(f"{source}: malformed contents: {exc}") from None
 
 
 def _pack_array(W: np.ndarray) -> bytes:
-    rows, cols = W.shape
-    return struct.pack("<II", rows, cols) + W.astype("<f8").tobytes(order="C")
+    return struct.pack(f"<{W.ndim}I", *W.shape) + W.astype("<f8").tobytes(order="C")
 
 
-def _read_array(r: Reader) -> np.ndarray:
-    rows, cols = r.unpack("<II")
-    raw = r.take(8 * rows * cols)
-    return np.frombuffer(raw, dtype="<f8").reshape((rows, cols)).astype(float)
+def _read_array(r: Reader, ndim: int = 2) -> np.ndarray:
+    shape = r.unpack(f"<{ndim}I")
+    raw = r.take(8 * math.prod(shape))
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
 def _pack_stats(stats: NormalizationStats | None) -> bytes:
@@ -84,16 +101,17 @@ def unpack_model(buf: bytes, source: str = "<bytes>") -> DELMModel:
         raise DataError(f"{source}: not a model file (bad magic {magic!r})")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"{source}: unsupported model format version {version}")
-    activation = r.text()
-    ndims = r.u32()
-    dims = r.unpack(f"<{ndims}I")
-    stats = _read_stats(r)
-    nweights = r.u32()
-    weights = [_read_array(r) for _ in range(nweights)]
-    r.done()
-    return DELMModel(
-        weights=weights, dims=dims, activation=activation, feature_stats=stats
-    )
+    with _decoding(source):
+        activation = r.text()
+        ndims = r.u32()
+        dims = r.unpack(f"<{ndims}I")
+        stats = _read_stats(r)
+        nweights = r.u32()
+        weights = [_read_array(r) for _ in range(nweights)]
+        r.done()
+        return DELMModel(
+            weights=weights, dims=dims, activation=activation, feature_stats=stats
+        )
 
 
 def save_model(path: str | Path, model: DELMModel) -> None:
@@ -133,7 +151,7 @@ def _read_config(r: Reader) -> TrainConfig:
 
 
 def save_models(path: str | Path, models: ClassModels) -> None:
-    """Persist a whole classifier bundle atomically."""
+    """Persist a whole classifier bundle atomically, at format version 2."""
     out = bytearray()
     out += struct.pack("<4sI", BUNDLE_MAGIC, BUNDLE_FORMAT_VERSION)
     out += _pack_config(models.config)
@@ -143,13 +161,13 @@ def save_models(path: str | Path, models: ClassModels) -> None:
         out += pack_text(lab)
     blob = pack_model(models.global_model)
     out += struct.pack("<Q", len(blob)) + blob
-    for lab in labels:
-        blob = pack_model(models.per_class[lab])
-        out += struct.pack("<Q", len(blob)) + blob
+    for W in models.class_stack.weights:
+        out += _pack_array(W)
     write_atomic(path, seal(bytes(out)))
 
 
 def load_models(path: str | Path) -> ClassModels:
+    """Read a classifier bundle of format version 1 or 2."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"model file not found: {path}")
@@ -158,13 +176,23 @@ def load_models(path: str | Path) -> ClassModels:
     magic, version = r.unpack("<4sI")
     if magic != BUNDLE_MAGIC:
         raise DataError(f"{source}: not a classifier bundle (bad magic {magic!r})")
-    if version != BUNDLE_FORMAT_VERSION:
+    if version not in BUNDLE_FORMAT_VERSIONS:
         raise DataError(f"{source}: unsupported bundle format version {version}")
-    config = _read_config(r)
-    labels = [r.text() for _ in range(r.u32())]
-    global_model = unpack_model(r.take(r.u64()), f"{source}[global]")
-    per_class = {
-        lab: unpack_model(r.take(r.u64()), f"{source}[{lab}]") for lab in labels
-    }
-    r.done()
-    return ClassModels(global_model=global_model, per_class=per_class, config=config)
+    with _decoding(source):
+        config = _read_config(r)
+        labels = [r.text() for _ in range(r.u32())]
+        global_model = unpack_model(r.take(r.u64()), f"{source}[global]")
+        if version == 1:
+            per_class = {
+                lab: unpack_model(r.take(r.u64()), f"{source}[{lab}]") for lab in labels
+            }
+            r.done()
+            if len(per_class) != len(labels):
+                raise ValueError(f"duplicate class labels {labels}")
+            return ClassModels.from_models(global_model, per_class, config)
+        stacks = [_read_array(r, 3) for _ in global_model.weights]
+        r.done()
+        class_stack = DELMModel(
+            weights=stacks, dims=global_model.dims, activation=global_model.activation
+        )
+        return ClassModels(global_model, labels, class_stack, config)

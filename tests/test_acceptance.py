@@ -272,9 +272,9 @@ def test_determinism_and_persistence(tmp_path):
     loaded = load_models(path)
     assert loaded.class_labels == models_a.class_labels
     assert loaded.config == models_a.config
-    for lab in models_a.class_labels:
-        for Wa, Wb in zip(models_a.per_class[lab].weights, loaded.per_class[lab].weights):
-            assert Wa.tobytes() == Wb.tobytes()
+    for Wa, Wb in zip(models_a.class_stack.weights, loaded.class_stack.weights, strict=True):
+        assert Wa.shape == Wb.shape
+        assert Wa.tobytes() == Wb.tobytes()
     for Wa, Wb in zip(models_a.global_model.weights, loaded.global_model.weights):
         assert Wa.tobytes() == Wb.tobytes()
     stats_a, stats_b = models_a.feature_stats, loaded.feature_stats

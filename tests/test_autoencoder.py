@@ -4,9 +4,11 @@ from scipy.special import logit
 
 import deepelm.autoencoder as ae
 from deepelm import (
+    SIGMOID,
     DELMModel,
     HiddenLayerParams,
     LayerSpec,
+    activate,
     hidden_response,
     random_orthonormal_mapping,
     reconstruct,
@@ -228,6 +230,24 @@ class TestReconstructionError:
         x = np.full(4, 0.5)
         assert reconstruction_error(model, x) == 0.0
 
+    def test_stack_gives_each_models_errors_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        X = unit_box_data(rng, 6, 9)
+        models = [train_delm(X[:, k::2], specs_for([4, 4], seed=k), final_C=1e10) for k in (0, 1)]
+        stack = DELMModel(
+            weights=[np.stack(layer) for layer in zip(*(m.weights for m in models))],
+            dims=models[0].dims,
+        )
+        errs = reconstruction_error(stack, X)
+        assert errs.shape == (2, 9)
+        assert reconstruct(stack, X).shape == (2, 6, 9)
+        for k, model in enumerate(models):
+            assert errs[k].tobytes() == reconstruction_error(model, X).tobytes()
+        vec = reconstruction_error(stack, X[:, 3])
+        column = reconstruction_error(stack, X[:, 3:4])
+        assert vec.shape == (2,) and vec.tobytes() == column[:, 0].tobytes()
+        assert reconstruct(stack, X[:, 3]).shape == (2, 6)
+
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(15)
         X = unit_box_data(rng, 6, 8)
@@ -245,7 +265,31 @@ class TestReconstructionError:
         assert np.all(reconstruction_error(model, X) >= 0.0)
 
 
+class TestLogit:
+    def test_agrees_with_scipy(self):
+        # SciPy switches to log1p(2p - 1) - log1p(1 - 2p) near p = 0.5, where
+        # log(p / (1 - p)) keeps only an absolute accuracy of a few ulp of 1
+        p = np.random.default_rng(5).uniform(1e-6, 1.0 - 1e-6, size=100_000)
+        ours, ref = ae.logit(p), logit(p)
+        bound = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(ours - ref) <= bound)
+
+    def test_inverts_the_sigmoid(self):
+        u = np.linspace(-12.0, 12.0, 49)
+        assert np.allclose(ae.logit(activate(SIGMOID, u)), u, rtol=0, atol=1e-10)
+
+
 class TestModelValidation:
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="activation"):
+            DELMModel(weights=[np.zeros((5, 5))], dims=(5, 5), activation="relu")
+
+    def test_stack_shares_one_leading_axis(self):
+        stack = DELMModel(weights=[np.zeros((2, 3, 5)), np.zeros((2, 5, 3))], dims=(5, 3, 5))
+        assert stack.input_dim == 5
+        with pytest.raises(ValueError, match="shape"):
+            DELMModel(weights=[np.zeros((2, 3, 5)), np.zeros((3, 5, 3))], dims=(5, 3, 5))
+
     def test_must_close_on_input_space(self):
         with pytest.raises(ValueError, match="close"):
             DELMModel(weights=[np.zeros((3, 5)), np.zeros((4, 3))], dims=(5, 3, 4))

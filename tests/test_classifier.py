@@ -25,6 +25,7 @@ from deepelm import (
     train_global,
 )
 from deepelm.datasets import concat_features
+from deepelm.normalize import apply_stats, compute_stats
 
 
 def constant_output_model(d: int, value: float, width: int = 3) -> DELMModel:
@@ -38,9 +39,7 @@ def constant_output_model(d: int, value: float, width: int = 3) -> DELMModel:
 def constant_models(d: int, values: dict[str, float]) -> ClassModels:
     per_class = {lab: constant_output_model(d, v) for lab, v in values.items()}
     any_model = next(iter(per_class.values()))
-    return ClassModels(
-        global_model=any_model, per_class=per_class, config=small_config()
-    )
+    return ClassModels.from_models(any_model, per_class, small_config(widths=(3,)))
 
 
 def derive_label(errors: np.ndarray, labels) -> str:
@@ -131,7 +130,7 @@ class TestTrainAll:
                                     dim=10, seed=8)
         norm, _ = normalize_gallery(gallery)
         models = train_all(norm, small_config(seed=8, widths=(4, 4)))
-        assert len(models.per_class) == 5
+        assert all(W.shape[0] == 5 for W in models.class_stack.weights)
         assert models.class_labels == tuple(sorted(gallery.classes))
 
     def test_class_order_independent_and_deterministic(self):
@@ -141,9 +140,8 @@ class TestTrainAll:
         cfg = small_config(seed=9, widths=(3, 3))
         a = train_all(norm, cfg, feature_stats=stats)
         b = train_all(Gallery(list(reversed(norm.sets))), cfg, feature_stats=stats)
-        for lab in a.class_labels:
-            for Wa, Wb in zip(a.per_class[lab].weights, b.per_class[lab].weights):
-                assert np.array_equal(Wa, Wb)
+        for Wa, Wb in zip(a.class_stack.weights, b.class_stack.weights, strict=True):
+            assert np.array_equal(Wa, Wb)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_rank_deficient_decode_trains(self, seed):
@@ -155,7 +153,7 @@ class TestTrainAll:
                                              seed=seed))
         norm, stats = normalize_gallery(gallery)
         models = train_all(norm, TrainConfig(layer_widths=(200, 50)), feature_stats=stats)
-        for model in [models.global_model, *models.per_class.values()]:
+        for model in (models.global_model, models.class_stack):
             assert all(np.isfinite(W).all() for W in model.weights)
         pred = classify_set(norm.sets[0], models)
         assert np.isfinite(pred.per_sample_errors).all()
@@ -182,10 +180,8 @@ class TestClassifySample:
     def test_tie_breaks_to_first_sorted_label(self):
         d = 5
         shared = constant_output_model(d, 0.5)
-        models = ClassModels(
-            global_model=shared,
-            per_class={"beta": shared, "alpha": shared},
-            config=small_config(),
+        models = ClassModels.from_models(
+            shared, {"beta": shared, "alpha": shared}, small_config(widths=(3,))
         )
         label, errors = classify_sample(np.full(d, 0.3), models)
         assert label == "alpha"
@@ -261,6 +257,75 @@ class TestClassifySet:
         _, models = trained_blob
         with pytest.raises(DataError, match="s>=1"):
             classify_set(ImageSet(np.zeros((models.feature_dim, 0)), None, "p"), models)
+
+
+class TestStackedInference:
+    """The stacked class models give what a loop over per-class models gives."""
+
+    @pytest.fixture(scope="class")
+    def five_classes(self):
+        # widths (6, 6) on d = 12: a ridge layer, then an equal-width
+        # Procrustes layer, then the ridge decode
+        gallery = make_blob_gallery(classes=5, sets_per_class=2, samples_per_set=8,
+                                    dim=12, sigma=0.05, seed=21)
+        norm, stats = normalize_gallery(gallery)
+        cfg = small_config(seed=21, widths=(6, 6))
+        return gallery, norm, cfg, train_all(norm, cfg, feature_stats=stats)
+
+    def test_stack_holds_each_class_specific_model(self, five_classes):
+        _, norm, cfg, models = five_classes
+        assert [W.shape for W in models.class_stack.weights] == [(5, 6, 12), (5, 6, 6), (5, 12, 6)]
+        for k, lab in enumerate(models.class_labels):
+            members = [s for s in norm.sets if s.label == lab]
+            merged = ImageSet(concat_features(members), lab, lab)
+            alone = train_class_specific(models.global_model, merged, cfg)
+            for W, stack in zip(alone.weights, models.class_stack.weights, strict=True):
+                assert W.tobytes() == stack[k].tobytes()
+
+    def test_batched_errors_equal_per_class_loop(self, five_classes):
+        gallery, _, _, models = five_classes
+        stack = models.class_stack
+        per_class = [
+            DELMModel(weights=[W[k] for W in stack.weights], dims=stack.dims)
+            for k in range(len(models.class_labels))
+        ]
+        rng = np.random.default_rng(3)
+        for s in gallery.sets:
+            noisy = ImageSet(s.features + 0.1 * rng.normal(size=s.features.shape), None, "p")
+            pred = classify_set(noisy, models)
+            Xn = apply_stats(noisy.features, models.feature_stats)
+            loop = np.column_stack([reconstruction_error(m, Xn) for m in per_class])
+            assert pred.per_sample_errors.shape == loop.shape
+            assert pred.per_sample_errors.tobytes() == loop.tobytes()
+
+    def test_sample_equals_one_column_set(self, five_classes):
+        gallery, _, _, models = five_classes
+        for s in gallery.sets[::3]:
+            for j in range(0, s.n_samples, 3):
+                label, errors = classify_sample(s.features[:, j], models)
+                pred = classify_set(ImageSet(s.features[:, j:j + 1], None, "p"), models)
+                assert errors.tobytes() == pred.per_sample_errors[0].tobytes()
+                assert (label,) == pred.per_sample_labels and label == pred.set_label
+
+    def test_stats_held_once(self, five_classes):
+        _, _, _, models = five_classes
+        assert models.class_stack.feature_stats is None
+        assert models.feature_stats is models.global_model.feature_stats
+
+    def test_class_stats_must_match_global(self):
+        d = 4
+        plain = constant_output_model(d, 0.5)
+        stats = compute_stats(np.random.default_rng(0).random((d, 5)))
+        with_stats = DELMModel(weights=plain.weights, dims=plain.dims, feature_stats=stats)
+        with pytest.raises(ValueError, match="feature stats"):
+            ClassModels.from_models(
+                with_stats, {"a": with_stats, "b": plain}, small_config(widths=(3,))
+            )
+
+    def test_labels_must_be_sorted(self):
+        models = constant_models(4, {"a": 0.2, "b": 0.7})
+        with pytest.raises(ValueError, match="sorted"):
+            ClassModels(models.global_model, ("b", "a"), models.class_stack, models.config)
 
 
 class TestVoteRuleProperties:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,31 @@ class TestActivation:
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="unknown activation"):
             activate("relu6", 0.0)
+
+    @pytest.mark.parametrize("sigma", [1.0, 5.0, 30.0, 400.0])
+    def test_sigmoid_within_4_ulp_of_expit(self, sigma):
+        from scipy.special import expit
+
+        u = np.random.default_rng(int(sigma)).normal(0.0, sigma, size=100_000)
+        np.testing.assert_array_max_ulp(activate(SIGMOID, u), expit(u), maxulp=4)
+
+    def test_sigmoid_exact_at_saturation_without_warning(self):
+        u = np.array([-800.0, 0.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = activate(SIGMOID, u)
+        assert g.tolist() == [0.0, 0.5, 1.0]
+
+    def test_sigmoid_scalar_in_scalar_out(self):
+        g = activate(SIGMOID, 0.25)
+        assert np.ndim(g) == 0 and isinstance(g, float)
+        assert isinstance(activate(SIGMOID, np.float64(2.0)), float)
+
+    def test_sigmoid_leaves_argument_unchanged(self):
+        u = np.linspace(-5.0, 5.0, 11)
+        before = u.copy()
+        g = activate(SIGMOID, u)
+        assert g is not u and np.array_equal(u, before)
 
 
 class TestRandomOrthonormalMapping:
@@ -265,27 +291,31 @@ class TestRidgeMinimumNormFallback:
             solve_ridge_underdetermined(H.T, np.ones((2, 1)), 1e18)
 
 
-ONE_POOL_SCRIPT = """
-import sys
-from deepelm import (SynthParams, TrainConfig, classify_set, normalize_gallery,
-                     synth_generate, train_all)
+NO_SCIPY_SCRIPT = """
+import sys, tempfile
+from pathlib import Path
+from deepelm import (SynthParams, TrainConfig, classify_set, load_models, normalize_gallery,
+                     save_models, synth_generate, train_all)
 
 gallery = synth_generate(SynthParams(classes=3, sets_per_class=2, samples_per_set=10,
                                      feature_dim=12, seed=0))
 norm, stats = normalize_gallery(gallery)
 models = train_all(norm, TrainConfig(layer_widths=(12, 6)), feature_stats=stats)
 classify_set(norm.sets[0], models)
-assert "scipy.linalg" not in sys.modules, (
-    "scipy.linalg was imported: SciPy's OpenBLAS would start a second BLAS "
-    "thread pool, and two pools contend for the same cores"
-)
+with tempfile.TemporaryDirectory() as tmp:
+    save_models(Path(tmp) / "m.dlmc", models)
+    classify_set(norm.sets[0], load_models(Path(tmp) / "m.dlmc"))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"SciPy was imported: {loaded}"
 """
 
 
-def test_training_and_classification_never_import_scipy_linalg():
+def test_training_and_classification_never_import_scipy():
+    """SciPy is a test-only dependency. Its OpenBLAS would also start a
+    second BLAS thread pool, and two pools contend for the same cores."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", ONE_POOL_SCRIPT],
+        [sys.executable, "-c", NO_SCIPY_SCRIPT],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120,
     )
