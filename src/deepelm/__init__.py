@@ -37,14 +37,12 @@ from .elm import (
     HiddenLayerParams,
     ProcrustesResult,
     activate,
-    elm_predict,
     hidden_response,
     random_orthonormal_mapping,
     solve_orthogonal_procrustes,
     solve_ridge,
     solve_ridge_overdetermined,
     solve_ridge_underdetermined,
-    train_elm,
 )
 from .errors import ConfigError, DataError, DelmError, NumericError
 from .harness import (
@@ -87,7 +85,6 @@ __all__ = [
     "classify_sample",
     "classify_set",
     "compute_stats",
-    "elm_predict",
     "hidden_response",
     "inject_noise",
     "load_gallery",
@@ -117,6 +114,5 @@ __all__ = [
     "train_ae_layer",
     "train_class_specific",
     "train_delm",
-    "train_elm",
     "train_global",
 ]

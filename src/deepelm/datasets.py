@@ -10,10 +10,13 @@ Manifest format (tab separated, one entry per line):
     #delm-manifest v1 d=<d>
     <set_id>\t<label>\t<relative_path>
 
-Paths are resolved relative to the manifest's directory. A label of "-"
-marks an unlabeled probe set. Feature files are little-endian binary:
-magic "DLMF", u32 version, u32 d, u32 s, then d*s float64 in column-major
-order, then a CRC32 of everything before it.
+Manifests are UTF-8 whatever the locale. Paths are resolved relative to
+the manifest's directory. A label of "-" marks an unlabeled probe set, so
+no labeled set may carry it, nor a tab or a line break; save_gallery
+rejects such labels before it writes anything. Feature files are
+little-endian binary: magic "DLMF", u32 version, u32 d, u32 s, then d*s
+float64 in column-major order, then a CRC32 of everything before it,
+sealed and read as ``fileio`` describes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import Reader, seal, unseal, write_atomic
+from .fileio import f64_view, open_sealed, seal, unseal, write_atomic
 from .normalize import DEFAULT_EPSILON, NormalizationStats, apply_stats, compute_stats
 
 FEATURE_MAGIC = b"DLMF"
@@ -39,6 +42,8 @@ SINUSOIDAL_MANIFOLD = "sinusoid"
 MANIFOLDS = (GAUSSIAN_BLOB, SINUSOIDAL_MANIFOLD)
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+# the field separator and every line boundary str.splitlines() splits on
+_LABEL_BREAK_RE = re.compile("[\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(eq=False)
@@ -136,26 +141,25 @@ def save_feature_matrix(path: str | Path, X: np.ndarray) -> None:
         raise ValueError(f"expected a (d, s) matrix, got shape {X.shape}")
     d, s = X.shape
     header = struct.pack("<4sIII", FEATURE_MAGIC, FEATURE_FORMAT_VERSION, d, s)
-    payload = header + X.astype("<f8").tobytes(order="F")
-    write_atomic(path, seal(payload))
+    # column-major data: the row-major bytes of the transpose
+    write_atomic(path, seal([header, f64_view(X.T)]))
 
 
 def load_feature_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file not found: {path}")
-    payload = unseal(path.read_bytes(), str(path))
-    r = Reader(payload, str(path))
-    magic, version, d, s = r.unpack("<4sIII")
-    if magic != FEATURE_MAGIC:
-        raise DataError(f"{path}: not a feature file (bad magic {magic!r})")
-    if version != FEATURE_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported feature format version {version}")
-    if d < 1 or s < 1:
-        raise DataError(f"{path}: invalid dimensions d={d}, s={s}")
-    raw = r.take(8 * d * s)
-    r.done()
-    return np.frombuffer(raw, dtype="<f8").reshape((d, s), order="F").astype(float)
+    with open_sealed(path) as r:
+        magic, version, d, s = r.unpack("<4sIII")
+        if magic != FEATURE_MAGIC:
+            raise DataError(f"{path}: not a feature file (bad magic {magic!r})")
+        if version != FEATURE_FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported feature format version {version}")
+        if d < 1 or s < 1:
+            raise DataError(f"{path}: invalid dimensions d={d}, s={s}")
+        X = r.f64_array((s, d)).T
+        unseal(r)
+    return X
 
 
 # -- manifests ---------------------------------------------------------------
@@ -223,16 +227,16 @@ def save_gallery(
 ) -> Path:
     """Write feature files plus a manifest; returns the manifest path.
 
-    Feature files are written first and the manifest last, so an
-    interrupted save never leaves a loadable but incomplete gallery.
+    Every set is checked before any file is written: its set_id must be
+    filename-safe, its dimension d, and its label one the manifest reads
+    back as written. Feature files are written first and the manifest
+    last, so an interrupted save never leaves a loadable but incomplete
+    gallery.
     """
     sets = canonical_sets(gallery_sets)
     if not sets:
         raise DataError("refusing to save an empty gallery")
     d = feature_dim if feature_dim is not None else sets[0].feature_dim
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"#delm-manifest v1 d={d}"]
     for s in sets:
         if not _ID_RE.match(s.set_id):
             raise DataError(f"set_id '{s.set_id}' is not filename-safe")
@@ -240,6 +244,14 @@ def save_gallery(
             raise DataError(
                 f"set '{s.set_id}' has dimension {s.feature_dim}, expected {d}"
             )
+        if s.label == UNLABELED or _LABEL_BREAK_RE.search(s.label or ""):
+            raise DataError(
+                f"set '{s.set_id}': label {s.label!r} cannot be written to a manifest"
+            )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = [f"#delm-manifest v1 d={d}"]
+    for s in sets:
         fname = f"{s.set_id}.dlmf"
         save_feature_matrix(out_dir / fname, s.features)
         label = s.label if s.label is not None else UNLABELED

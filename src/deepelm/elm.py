@@ -3,9 +3,8 @@
 An ELM fixes a random hidden-layer mapping and learns only the output
 weights, in closed form. This module provides the activation, the random
 orthonormal feature mapping, the two ridge-regression closed forms (primal
-for more samples than hidden units, dual otherwise), the orthogonal
-Procrustes solver used when input and layer widths coincide, and the
-two-stage ELM fit built from them.
+for more samples than hidden units, dual otherwise), and the orthogonal
+Procrustes solver used when input and layer widths coincide.
 
 All numerics run on NumPy: dense linear algebra on its LAPACK, and the
 sigmoid on its ufuncs. SciPy is not imported at run time: it ships its own
@@ -236,36 +235,3 @@ def solve_orthogonal_procrustes(H: np.ndarray, T: np.ndarray) -> ProcrustesResul
     U, s, Vt = np.linalg.svd(H.T @ T)
     smin = float(s[-1]) if s.size else 0.0
     return ProcrustesResult(B=U @ Vt, min_singular_value=smin, degenerate=smin < 1e-12)
-
-
-def train_elm(
-    X: np.ndarray, T: np.ndarray, n_h: int, C: float, seed
-) -> tuple[HiddenLayerParams, np.ndarray]:
-    """Two-stage ELM fit: random feature mapping, then a linear solve.
-
-    X is (d, s) and T is (q, s), one sample per column in both. Returns the
-    mapping and the (n_h, q) output weights.
-    """
-    X = np.asarray(X, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if T.ndim == 1:
-        T = T[None, :]
-    if X.ndim != 2 or X.shape[1] != T.shape[1]:
-        raise ValueError(
-            f"X and T must share a sample count, got {X.shape} and {T.shape}"
-        )
-    params = random_orthonormal_mapping(X.shape[0], n_h, seed)
-    design = hidden_response(params, X).T
-    return params, solve_ridge(design, T.T, C)
-
-
-def elm_predict(
-    params: HiddenLayerParams, B: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Feed-forward predictions, one row per sample: row j = psi(x_j) @ B."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != params.n_hidden:
-        raise ValueError(
-            f"output weights of shape {B.shape} incompatible with {params.n_hidden} hidden units"
-        )
-    return hidden_response(params, X).T @ B

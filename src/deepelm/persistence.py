@@ -12,11 +12,17 @@ still read, held one DLMM blob per class instead.
 
 Everything is little-endian with a trailing CRC32; round-trips are
 bit-exact. A file that does not decode to a valid model raises DataError.
+
+Both containers are sealed as ``fileio`` describes: a save writes the
+weight arrays straight from their own memory, with the CRC chained over
+them, and a load reads each array straight from the file into its own
+fresh array, checking the CRCs as it goes. So a save allocates no more
+than the small header parts, and a load little more than the arrays it
+returns.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,7 +32,16 @@ import numpy as np
 from .autoencoder import DELMModel
 from .classifier import ClassModels, TrainConfig
 from .errors import ConfigError, DataError
-from .fileio import Reader, pack_text, seal, unseal, write_atomic
+from .fileio import (
+    Buffer,
+    Reader,
+    f64_view,
+    open_sealed,
+    pack_text,
+    seal,
+    unseal,
+    write_atomic,
+)
 from .normalize import NormalizationStats
 
 MODEL_MAGIC = b"DLMM"
@@ -45,29 +60,25 @@ def _decoding(source: str):
         raise DataError(f"{source}: malformed contents: {exc}") from None
 
 
-def _pack_array(W: np.ndarray) -> bytes:
-    return struct.pack(f"<{W.ndim}I", *W.shape) + W.astype("<f8").tobytes(order="C")
+def _array_parts(W: np.ndarray) -> list[Buffer]:
+    return [struct.pack(f"<{W.ndim}I", *W.shape), f64_view(W)]
 
 
 def _read_array(r: Reader, ndim: int = 2) -> np.ndarray:
-    shape = r.unpack(f"<{ndim}I")
-    raw = r.take(8 * math.prod(shape))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    return r.f64_array(r.unpack(f"<{ndim}I"))
 
 
-def _pack_stats(stats: NormalizationStats | None) -> bytes:
+def _stats_parts(stats: NormalizationStats | None) -> list[Buffer]:
     if stats is None:
-        return struct.pack("<B", 0)
-    out = struct.pack(
+        return [struct.pack("<B", 0)]
+    head = struct.pack(
         "<BBdI",
         1,
         1 if stats.per_dimension else 0,
         stats.epsilon,
         stats.dim,
     )
-    out += stats.lo.astype("<f8").tobytes()
-    out += stats.hi.astype("<f8").tobytes()
-    return out
+    return [head, f64_view(stats.lo), f64_view(stats.hi)]
 
 
 def _read_stats(r: Reader) -> NormalizationStats | None:
@@ -76,39 +87,42 @@ def _read_stats(r: Reader) -> NormalizationStats | None:
     per_dim = r.u8() == 1
     eps = r.f64()
     d = r.u32()
-    lo = np.frombuffer(r.take(8 * d), dtype="<f8").astype(float)
-    hi = np.frombuffer(r.take(8 * d), dtype="<f8").astype(float)
+    lo = r.f64_array((d,))
+    hi = r.f64_array((d,))
     return NormalizationStats(lo=lo, hi=hi, epsilon=eps, per_dimension=per_dim)
 
 
-def pack_model(model: DELMModel) -> bytes:
-    out = bytearray()
-    out += struct.pack("<4sI", MODEL_MAGIC, MODEL_FORMAT_VERSION)
-    out += pack_text(model.activation)
-    out += struct.pack("<I", len(model.dims))
-    out += struct.pack(f"<{len(model.dims)}I", *model.dims)
-    out += _pack_stats(model.feature_stats)
-    out += struct.pack("<I", len(model.weights))
+def pack_model(model: DELMModel) -> list[Buffer]:
+    """The sealed DLMM container of model, as buffers to write in turn.
+
+    The weight parts alias the model's arrays; nothing is copied.
+    """
+    head = struct.pack("<4sI", MODEL_MAGIC, MODEL_FORMAT_VERSION)
+    head += pack_text(model.activation)
+    head += struct.pack("<I", len(model.dims))
+    head += struct.pack(f"<{len(model.dims)}I", *model.dims)
+    parts = [head, *_stats_parts(model.feature_stats)]
+    parts.append(struct.pack("<I", len(model.weights)))
     for W in model.weights:
-        out += _pack_array(W)
-    return seal(bytes(out))
+        parts += _array_parts(W)
+    return seal(parts)
 
 
-def unpack_model(buf: bytes, source: str = "<bytes>") -> DELMModel:
-    r = Reader(unseal(buf, source), source)
+def unpack_model(r: Reader) -> DELMModel:
+    """Read one DLMM container from r, and check its CRC32."""
     magic, version = r.unpack("<4sI")
     if magic != MODEL_MAGIC:
-        raise DataError(f"{source}: not a model file (bad magic {magic!r})")
+        raise DataError(f"{r.source}: not a model file (bad magic {magic!r})")
     if version != MODEL_FORMAT_VERSION:
-        raise DataError(f"{source}: unsupported model format version {version}")
-    with _decoding(source):
+        raise DataError(f"{r.source}: unsupported model format version {version}")
+    with _decoding(r.source):
         activation = r.text()
         ndims = r.u32()
         dims = r.unpack(f"<{ndims}I")
         stats = _read_stats(r)
         nweights = r.u32()
         weights = [_read_array(r) for _ in range(nweights)]
-        r.done()
+        unseal(r)
         return DELMModel(
             weights=weights, dims=dims, activation=activation, feature_stats=stats
         )
@@ -122,7 +136,8 @@ def load_model(path: str | Path) -> DELMModel:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"model file not found: {path}")
-    return unpack_model(path.read_bytes(), str(path))
+    with open_sealed(path) as r:
+        return unpack_model(r)
 
 
 def _pack_config(config: TrainConfig) -> bytes:
@@ -152,18 +167,17 @@ def _read_config(r: Reader) -> TrainConfig:
 
 def save_models(path: str | Path, models: ClassModels) -> None:
     """Persist a whole classifier bundle atomically, at format version 2."""
-    out = bytearray()
-    out += struct.pack("<4sI", BUNDLE_MAGIC, BUNDLE_FORMAT_VERSION)
-    out += _pack_config(models.config)
+    head = struct.pack("<4sI", BUNDLE_MAGIC, BUNDLE_FORMAT_VERSION)
+    head += _pack_config(models.config)
     labels = models.class_labels
-    out += struct.pack("<I", len(labels))
-    for lab in labels:
-        out += pack_text(lab)
+    head += struct.pack("<I", len(labels))
+    head += b"".join(pack_text(lab) for lab in labels)
     blob = pack_model(models.global_model)
-    out += struct.pack("<Q", len(blob)) + blob
+    head += struct.pack("<Q", sum(len(part) for part in blob))
+    parts = [head, *blob]
     for W in models.class_stack.weights:
-        out += _pack_array(W)
-    write_atomic(path, seal(bytes(out)))
+        parts += _array_parts(W)
+    write_atomic(path, seal(parts))
 
 
 def load_models(path: str | Path) -> ClassModels:
@@ -172,27 +186,27 @@ def load_models(path: str | Path) -> ClassModels:
     if not path.is_file():
         raise DataError(f"model file not found: {path}")
     source = str(path)
-    r = Reader(unseal(path.read_bytes(), source), source)
-    magic, version = r.unpack("<4sI")
-    if magic != BUNDLE_MAGIC:
-        raise DataError(f"{source}: not a classifier bundle (bad magic {magic!r})")
-    if version not in BUNDLE_FORMAT_VERSIONS:
-        raise DataError(f"{source}: unsupported bundle format version {version}")
-    with _decoding(source):
-        config = _read_config(r)
-        labels = [r.text() for _ in range(r.u32())]
-        global_model = unpack_model(r.take(r.u64()), f"{source}[global]")
-        if version == 1:
-            per_class = {
-                lab: unpack_model(r.take(r.u64()), f"{source}[{lab}]") for lab in labels
-            }
-            r.done()
-            if len(per_class) != len(labels):
-                raise ValueError(f"duplicate class labels {labels}")
-            return ClassModels.from_models(global_model, per_class, config)
-        stacks = [_read_array(r, 3) for _ in global_model.weights]
-        r.done()
-        class_stack = DELMModel(
-            weights=stacks, dims=global_model.dims, activation=global_model.activation
-        )
-        return ClassModels(global_model, labels, class_stack, config)
+    with open_sealed(path) as r:
+        magic, version = r.unpack("<4sI")
+        if magic != BUNDLE_MAGIC:
+            raise DataError(f"{source}: not a classifier bundle (bad magic {magic!r})")
+        if version not in BUNDLE_FORMAT_VERSIONS:
+            raise DataError(f"{source}: unsupported bundle format version {version}")
+        with _decoding(source):
+            config = _read_config(r)
+            labels = [r.text() for _ in range(r.u32())]
+            global_model = unpack_model(r.sealed(r.u64(), f"{source}[global]"))
+            if version == 1:
+                per_class = {
+                    lab: unpack_model(r.sealed(r.u64(), f"{source}[{lab}]")) for lab in labels
+                }
+                unseal(r)
+                if len(per_class) != len(labels):
+                    raise ValueError(f"duplicate class labels {labels}")
+                return ClassModels.from_models(global_model, per_class, config)
+            stacks = [_read_array(r, 3) for _ in global_model.weights]
+            unseal(r)
+            class_stack = DELMModel(
+                weights=stacks, dims=global_model.dims, activation=global_model.activation
+            )
+            return ClassModels(global_model, labels, class_stack, config)

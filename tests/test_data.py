@@ -1,3 +1,10 @@
+import os
+import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +218,25 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="not found"):
             load_feature_matrix(tmp_path / "absent.dlmf")
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bytes_match_struct_oracle(self, tmp_path, layout):
+        X = np.random.default_rng(11).normal(size=(6, 14))
+        X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
+        path = tmp_path / "x.dlmf"
+        save_feature_matrix(path, X)
+        payload = struct.pack("<4sIII", b"DLMF", 1, *X.shape)
+        payload += X.astype("<f8").tobytes(order="F")
+        assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
+
+    def test_loaded_matrix_is_aligned_writable_float64(self, tmp_path):
+        X = np.random.default_rng(12).normal(size=(5, 3))
+        path = tmp_path / "x.dlmf"
+        save_feature_matrix(path, X)
+        back = load_feature_matrix(path)
+        assert back.dtype == np.float64
+        assert back.flags.aligned and back.flags.writeable and back.flags.f_contiguous
+        assert np.array_equal(back, X)
+
 
 class TestManifests:
     def _write_gallery(self, tmp_path, classes=2, sets_per_class=2):
@@ -287,6 +313,36 @@ class TestManifests:
         assert any(s.label is None for s in sets)
         with pytest.raises(DataError, match="unlabeled"):
             load_gallery(manifest)
+
+
+UTF8_LABEL_SCRIPT = """
+import sys
+import numpy as np
+from deepelm import ImageSet, load_gallery, save_gallery
+manifest = save_gallery([ImageSet(np.ones((2, 3)), "caf\\u00e9", "s1")], sys.argv[1])
+assert [s.label for s in load_gallery(manifest).sets] == ["caf\\u00e9"]
+"""
+
+
+def test_non_ascii_label_round_trips_under_posix_locale(tmp_path):
+    """Manifests are UTF-8 even where the locale's encoding is ASCII."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "POSIX",
+           "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-c", UTF8_LABEL_SCRIPT, str(tmp_path / "gallery")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("label", ["-", "a\tb", "a\rb", "a\nb", "ab\n", "a\u2028b"])
+def test_save_gallery_rejects_unwritable_labels_before_writing(tmp_path, label):
+    sets = [ImageSet(np.ones((2, 3)), "fine", "a"), ImageSet(np.ones((2, 3)), label, "b")]
+    out = tmp_path / "gallery"
+    with pytest.raises(DataError, match="label"):
+        save_gallery(sets, out)
+    assert not out.exists()
 
 
 class TestGalleryValidation:

@@ -13,14 +13,12 @@ from deepelm import (
     NumericError,
     SIGMOID,
     activate,
-    elm_predict,
     hidden_response,
     random_orthonormal_mapping,
     solve_orthogonal_procrustes,
     solve_ridge,
     solve_ridge_overdetermined,
     solve_ridge_underdetermined,
-    train_elm,
 )
 
 
@@ -367,15 +365,29 @@ class TestOrthogonalProcrustes:
             solve_orthogonal_procrustes(np.ones((4, 3)), np.ones((4, 2)))
 
 
+def fit_elm(X, T, n_h, C, seed):
+    """The two-stage ELM fit: a random hidden mapping, then ridge output
+    weights over its response. X is (d, s) and T is (q, s)."""
+    params = random_orthonormal_mapping(X.shape[0], n_h, seed)
+    return params, solve_ridge(hidden_response(params, X).T, T.T, C)
+
+
+def elm_outputs(params, B, X):
+    """ELM predictions, one row per sample: row j = psi(x_j) @ B."""
+    return hidden_response(params, X).T @ B
+
+
 class TestTrainElm:
+    """Ridge output weights over a random hidden response."""
+
     def test_beats_constant_predictor_on_reconstruction(self):
         from conftest import make_blob_gallery
         from deepelm.datasets import concat_features
 
         X = concat_features(make_blob_gallery(classes=3, sets_per_class=1,
                                               samples_per_set=30, dim=10, seed=13).sets)
-        params, B = train_elm(X, X, n_h=50, C=1e4, seed=13)
-        pred = elm_predict(params, B, X)
+        params, B = fit_elm(X, X, n_h=50, C=1e4, seed=13)
+        pred = elm_outputs(params, B, X)
         mse = np.mean((pred - X.T) ** 2)
         baseline = np.mean((X.T - X.T.mean(axis=0)) ** 2)
         assert mse < baseline
@@ -383,44 +395,37 @@ class TestTrainElm:
     def test_single_sample_interpolates(self):
         x = np.array([[0.3], [0.8], [0.1]])
         t = np.array([[1.5], [-0.5]])
-        params, B = train_elm(x, t, n_h=4, C=1e10, seed=1)
-        pred = elm_predict(params, B, x)
+        params, B = fit_elm(x, t, n_h=4, C=1e10, seed=1)
+        pred = elm_outputs(params, B, x)
         assert np.abs(pred - t.T).max() <= 1e-4
 
     def test_deterministic(self):
         rng = np.random.default_rng(43)
         X = rng.normal(size=(6, 20))
         T = rng.normal(size=(2, 20))
-        p1, B1 = train_elm(X, T, 8, 100.0, seed=5)
-        p2, B2 = train_elm(X, T, 8, 100.0, seed=5)
+        p1, B1 = fit_elm(X, T, 8, 100.0, seed=5)
+        p2, B2 = fit_elm(X, T, 8, 100.0, seed=5)
         assert p1.W.tobytes() == p2.W.tobytes()
         assert B1.tobytes() == B2.tobytes()
-
-    def test_rejects_sample_count_mismatch(self):
-        with pytest.raises(ValueError, match="sample count"):
-            train_elm(np.ones((3, 5)), np.ones((2, 4)), 4, 1.0, seed=0)
 
     def test_monotone_capacity_on_fixed_task(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 150))
         mses = {}
         for n_h in (10, 100):
-            params, B = train_elm(X, X, n_h, 1e4, seed=5)
-            mses[n_h] = float(np.mean((elm_predict(params, B, X) - X.T) ** 2))
+            params, B = fit_elm(X, X, n_h, 1e4, seed=5)
+            mses[n_h] = float(np.mean((elm_outputs(params, B, X) - X.T) ** 2))
         assert mses[100] <= mses[10]
 
 
 class TestElmPredict:
-    def test_zero_weights_zero_output(self):
-        params = random_orthonormal_mapping(4, 6, seed=1)
-        X = np.random.default_rng(1).normal(size=(4, 5))
-        assert np.all(elm_predict(params, np.zeros((6, 2)), X) == 0.0)
+    """The hidden response of fixed weights, times output weights."""
 
     def test_single_node_hand_computed(self):
         w, b, beta = np.array([[0.4, -0.2]]), np.array([0.3]), np.array([[2.0]])
         params = HiddenLayerParams(W=w, b=b)
         x = np.array([[1.0], [2.0]])
-        out = elm_predict(params, beta, x)
+        out = elm_outputs(params, beta, x)
         expect = 2.0 / (1.0 + math.exp(-(0.4 * 1.0 - 0.2 * 2.0 + 0.3)))
         assert out[0, 0] == pytest.approx(expect, rel=1e-14)
 
@@ -429,12 +434,7 @@ class TestElmPredict:
         params = random_orthonormal_mapping(5, 7, seed=2)
         B = rng.normal(size=(7, 3))
         X = rng.normal(size=(5, 9))
-        batch = elm_predict(params, B, X)
-        singles = np.vstack([elm_predict(params, B, X[:, [j]]) for j in range(9)])
+        batch = elm_outputs(params, B, X)
+        singles = np.vstack([elm_outputs(params, B, X[:, [j]]) for j in range(9)])
         # batched and per-column BLAS paths may round differently
         assert np.abs(batch - singles).max() <= 1e-12
-
-    def test_rejects_incompatible_weights(self):
-        params = random_orthonormal_mapping(5, 7, seed=2)
-        with pytest.raises(ValueError, match="incompatible"):
-            elm_predict(params, np.zeros((6, 3)), np.zeros((5, 2)))

@@ -1,4 +1,6 @@
+import io
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -25,9 +27,9 @@ from deepelm import (
 )
 from deepelm.autoencoder import LayerSpec
 from deepelm.cli import main
-from deepelm.fileio import Reader, pack_text, seal, unseal
+from deepelm.fileio import Reader, pack_text, seal
 from deepelm.normalize import NormalizationStats
-from deepelm.persistence import _pack_array, _pack_config, _read_config, pack_model
+from deepelm.persistence import _array_parts, _pack_config, _read_config, pack_model
 
 DATA = Path(__file__).resolve().parent / "data"
 # Written by the format-1 bundle writer (commit dd5caa4) from
@@ -87,25 +89,41 @@ def class_model(models, k: int) -> DELMModel:
     )
 
 
+def sealed(payload) -> bytes:
+    """payload with its CRC32 appended, as one bytes object."""
+    return b"".join(seal([payload]))
+
+
+def unsealed(raw: bytes) -> bytes:
+    """The payload of a sealed container, after checking its CRC32."""
+    assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[:-4])
+    return raw[:-4]
+
+
+def model_blob(model: DELMModel) -> bytes:
+    """The DLMM container of model, as one bytes object."""
+    return b"".join(pack_model(model))
+
+
 def retag(blob: bytes, activation: str) -> bytes:
     """A DLMM blob with its activation tag replaced, resealed."""
-    payload = unseal(blob, "blob").replace(pack_text(SIGMOID), pack_text(activation), 1)
-    return seal(payload)
+    payload = unsealed(blob).replace(pack_text(SIGMOID), pack_text(activation), 1)
+    return sealed(payload)
 
 
 def bundle_bytes(version: int, config: bytes, labels, global_blob: bytes, body: bytes) -> bytes:
     out = struct.pack("<4sI", b"DLMC", version) + config + struct.pack("<I", len(labels))
     out += b"".join(pack_text(lab) for lab in labels)
-    return seal(out + struct.pack("<Q", len(global_blob)) + global_blob + body)
+    return sealed(out + struct.pack("<Q", len(global_blob)) + global_blob + body)
 
 
 def v1_bundle(models, class_blobs=None) -> bytes:
     """models in the format-1 layout: one length-prefixed DLMM blob per class."""
     if class_blobs is None:
-        class_blobs = [pack_model(class_model(models, k)) for k in range(len(models.class_labels))]
+        class_blobs = [model_blob(class_model(models, k)) for k in range(len(models.class_labels))]
     body = b"".join(struct.pack("<Q", len(blob)) + blob for blob in class_blobs)
     return bundle_bytes(
-        1, _pack_config(models.config), models.class_labels, pack_model(models.global_model), body
+        1, _pack_config(models.config), models.class_labels, model_blob(models.global_model), body
     )
 
 
@@ -178,29 +196,151 @@ class TestBundleContainer:
         with pytest.raises(DataError, match="checksum"):
             load_models(bad)
 
-    def test_future_version_rejected(self, bundle, tmp_path):
-        import struct
-
-        from deepelm.fileio import seal, unseal
-
+    @pytest.mark.parametrize("pos", [0, 5, 20])
+    def test_header_bitflip_reported_as_checksum_mismatch(self, bundle, tmp_path, pos):
+        """Decoding stops early at a corrupt magic, version or config, but
+        the file's CRC is checked before the decoding error is reported."""
         _, path = bundle
-        payload = bytearray(unseal(path.read_bytes(), str(path)))
+        raw = bytearray(path.read_bytes())
+        raw[pos] ^= 0x40
+        bad = tmp_path / "header.delm"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_models(bad)
+
+    def test_future_version_rejected(self, bundle, tmp_path):
+        _, path = bundle
+        payload = bytearray(unsealed(path.read_bytes()))
         payload[4:8] = struct.pack("<I", 42)
         bad = tmp_path / "future.delm"
-        bad.write_bytes(seal(bytes(payload)))
+        bad.write_bytes(sealed(bytes(payload)))
         with pytest.raises(DataError, match="unsupported bundle format version 42"):
             load_models(bad)
 
     def test_wrong_magic_rejected(self, bundle, tmp_path):
-        from deepelm.fileio import seal, unseal
-
         _, path = bundle
-        payload = bytearray(unseal(path.read_bytes(), str(path)))
+        payload = bytearray(unsealed(path.read_bytes()))
         payload[0:4] = b"WHAT"
         bad = tmp_path / "magic.delm"
-        bad.write_bytes(seal(bytes(payload)))
+        bad.write_bytes(sealed(bytes(payload)))
         with pytest.raises(DataError, match="magic"):
             load_models(bad)
+
+
+def oracle_text(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def oracle_array(W: np.ndarray) -> bytes:
+    return struct.pack(f"<{W.ndim}I", *W.shape) + W.astype("<f8").tobytes()
+
+
+def oracle_sealed(payload: bytes) -> bytes:
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def oracle_model(model: DELMModel) -> bytes:
+    """The DLMM bytes of model, from the format description alone."""
+    n = len(model.dims)
+    out = struct.pack("<4sI", b"DLMM", 1) + oracle_text(model.activation)
+    out += struct.pack(f"<I{n}I", n, *model.dims)
+    stats = model.feature_stats
+    if stats is None:
+        out += b"\0"
+    else:
+        out += struct.pack("<BBdI", 1, int(stats.per_dimension), stats.epsilon, stats.dim)
+        out += stats.lo.astype("<f8").tobytes() + stats.hi.astype("<f8").tobytes()
+    out += struct.pack("<I", len(model.weights))
+    out += b"".join(oracle_array(W) for W in model.weights)
+    return oracle_sealed(out)
+
+
+def oracle_bundle(models) -> bytes:
+    """The DLMC version 2 bytes of models, from the format description alone."""
+    cfg = models.config
+    n = len(cfg.layer_C)
+    out = struct.pack("<4sI", b"DLMC", 2)
+    out += struct.pack("<Iq", cfg.hidden_layers, cfg.seed) + oracle_text(cfg.activation)
+    out += struct.pack(f"<{cfg.hidden_layers}I", *cfg.layer_widths)
+    out += struct.pack(f"<I{n}d", n, *cfg.layer_C)
+    out += struct.pack("<I", len(models.class_labels))
+    out += b"".join(oracle_text(lab) for lab in models.class_labels)
+    blob = oracle_model(models.global_model)
+    out += struct.pack("<Q", len(blob)) + blob
+    out += b"".join(oracle_array(W) for W in models.class_stack.weights)
+    return oracle_sealed(out)
+
+
+def loaded_arrays(models) -> list[np.ndarray]:
+    stats = models.feature_stats
+    return [*models.global_model.weights, *models.class_stack.weights, stats.lo, stats.hi]
+
+
+class TestCopyFreeIO:
+    """Writers stream the arrays' own bytes; loaders copy each array once."""
+
+    def test_model_bytes_match_struct_oracle(self, bundle, tmp_path):
+        models, _ = bundle
+        for k, model in enumerate([models.global_model, class_model(models, 0)]):
+            path = tmp_path / f"m{k}.delm"
+            save_model(path, model)
+            assert path.read_bytes() == oracle_model(model)
+
+    def test_model_without_stats_and_fortran_weights_match_oracle(self, bundle, tmp_path):
+        models, _ = bundle
+        model = DELMModel(
+            weights=[np.asfortranarray(W) for W in models.global_model.weights],
+            dims=models.global_model.dims,
+        )
+        path = tmp_path / "f.delm"
+        save_model(path, model)
+        assert path.read_bytes() == oracle_model(model)
+
+    def test_bundle_bytes_match_struct_oracle(self, bundle):
+        models, path = bundle
+        assert path.read_bytes() == oracle_bundle(models)
+
+    @pytest.mark.parametrize("source", ["v2", "v1"])
+    def test_loaded_arrays_are_fresh_aligned_writable(self, bundle, source):
+        models = load_models(bundle[1] if source == "v2" else V1_FIXTURE)
+        for a in loaded_arrays(models):
+            assert a.dtype == np.float64
+            assert a.flags.aligned and a.flags.writeable and a.flags.c_contiguous
+            assert a.flags.owndata
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        """A bundle whose stacks (346 KB) dwarf the fixed costs of an I/O call."""
+        gallery = make_blob_gallery(classes=4, sets_per_class=2, samples_per_set=20,
+                                    dim=60, seed=5)
+        norm, stats = normalize_gallery(gallery)
+        models = train_all(norm, small_config(seed=5, widths=(60, 60)), feature_stats=stats)
+        path = tmp_path_factory.mktemp("wide") / "wide.dlmc"
+        save_models(path, models)
+        return models, path
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_save_allocates_less_than_the_stacks(self, wide):
+        models, path = wide
+        stack_bytes = sum(W.nbytes for W in models.class_stack.weights)
+        peak, _ = self.traced_peak(save_models, path, models)
+        assert peak < stack_bytes, (peak, stack_bytes)
+
+    def test_load_allocates_little_more_than_the_arrays(self, wide):
+        models, path = wide
+        peak, back = self.traced_peak(load_models, path)
+        # the arrays plus small read-ahead windows, never a file-sized buffer
+        assert peak < path.stat().st_size + 192 * 1024, (peak, path.stat().st_size)
+        models_equal(models.class_stack, back.class_stack)
 
 
 class TestFormatVersion1:
@@ -245,9 +385,9 @@ class TestFormatVersion1:
         models, _ = bundle
         stats = models.feature_stats
         shifted = NormalizationStats(lo=stats.lo - 1.0, hi=stats.hi, epsilon=stats.epsilon)
-        blobs = [pack_model(class_model(models, k)) for k in range(3)]
+        blobs = [model_blob(class_model(models, k)) for k in range(3)]
         odd = class_model(models, 1)
-        blobs[1] = pack_model(DELMModel(weights=odd.weights, dims=odd.dims, feature_stats=shifted))
+        blobs[1] = model_blob(DELMModel(weights=odd.weights, dims=odd.dims, feature_stats=shifted))
         path = tmp_path / "stats.dlmc"
         path.write_bytes(v1_bundle(models, blobs))
         with pytest.raises(DataError, match="feature stats"):
@@ -265,36 +405,36 @@ class TestMalformedContents:
 
     def test_label_not_utf8(self, bundle, probe_manifest, tmp_path, capsys):
         models, path = bundle
-        payload = bytearray(unseal(path.read_bytes(), "bundle"))
+        payload = bytearray(unsealed(path.read_bytes()))
         at = payload.index(pack_text(models.class_labels[0]))
         payload[at + 2] = 0xFF
         bad = tmp_path / "label.dlmc"
-        bad.write_bytes(seal(bytes(payload)))
+        bad.write_bytes(sealed(bytes(payload)))
         self.check(bad, probe_manifest[9], tmp_path, capsys, "UTF-8")
 
     def test_zero_hidden_layers(self, bundle, probe_manifest, tmp_path, capsys):
         models, path = bundle
-        payload = unseal(path.read_bytes(), "bundle")
+        payload = unsealed(path.read_bytes())
         config = _pack_config(models.config)
         zero = struct.pack("<Iq", 0, models.config.seed) + pack_text(SIGMOID)
         zero += struct.pack("<Id", 1, 1e18)
         bad = tmp_path / "h0.dlmc"
-        bad.write_bytes(seal(payload.replace(config, zero, 1)))
+        bad.write_bytes(sealed(payload.replace(config, zero, 1)))
         self.check(bad, probe_manifest[9], tmp_path, capsys, "hidden_layers")
 
     def test_unknown_global_activation(self, bundle, probe_manifest, tmp_path, capsys):
         models, _ = bundle
-        body = b"".join(_pack_array(W) for W in models.class_stack.weights)
+        body = b"".join(part for W in models.class_stack.weights for part in _array_parts(W))
         bad = tmp_path / "relu.dlmc"
         bad.write_bytes(bundle_bytes(
             2, _pack_config(models.config), models.class_labels,
-            retag(pack_model(models.global_model), "relu"), body,
+            retag(model_blob(models.global_model), "relu"), body,
         ))
         self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
 
     def test_unknown_class_activation_in_version_1(self, bundle, probe_manifest, tmp_path, capsys):
         models, _ = bundle
-        blobs = [pack_model(class_model(models, k)) for k in range(3)]
+        blobs = [model_blob(class_model(models, k)) for k in range(3)]
         blobs[2] = retag(blobs[2], "relu")
         bad = tmp_path / "relu1.dlmc"
         bad.write_bytes(v1_bundle(models, blobs))
@@ -302,17 +442,17 @@ class TestMalformedContents:
 
     def test_unsorted_labels(self, bundle, probe_manifest, tmp_path, capsys):
         models, path = bundle
-        payload = unseal(path.read_bytes(), "bundle")
+        payload = unsealed(path.read_bytes())
         first, last = (pack_text(models.class_labels[i]) for i in (0, -1))
         swapped = payload.replace(first, b"\0" * len(first), 1).replace(last, first, 1)
         bad = tmp_path / "order.dlmc"
-        bad.write_bytes(seal(swapped.replace(b"\0" * len(first), last, 1)))
+        bad.write_bytes(sealed(swapped.replace(b"\0" * len(first), last, 1)))
         self.check(bad, probe_manifest[9], tmp_path, capsys, "sorted")
 
 
 def blob_spans(payload: bytes) -> list[tuple[int, int]]:
     """(start, end) of every length-prefixed DLMM blob in a bundle payload."""
-    r = Reader(payload, "bundle")
+    r = Reader(io.BytesIO(payload), len(payload) + 4, "bundle")
     _, version = r.unpack("<4sI")
     _read_config(r)
     labels = [r.text() for _ in range(r.u32())]
@@ -336,7 +476,7 @@ def test_seeded_byte_flips_fail_only_with_data_error(fmt, bundle, probe_manifest
         raw, manifest = bundle[1].read_bytes(), probe_manifest[9]
     else:
         raw, manifest = V1_FIXTURE.read_bytes(), probe_manifest[5]
-    payload = unseal(raw, fmt)
+    payload = unsealed(raw)
     spans = blob_spans(payload)
     rng = np.random.default_rng(20 if fmt == "v2" else 10)
     header = spans[0][0] + 64
@@ -349,7 +489,7 @@ def test_seeded_byte_flips_fail_only_with_data_error(fmt, bundle, probe_manifest
         buf[pos] ^= int(rng.integers(1, 256))
         for start, end in spans:
             buf[end - 4:end] = struct.pack("<I", zlib.crc32(buf[start:end - 4]))
-        path.write_bytes(seal(bytes(buf)))
+        path.write_bytes(sealed(bytes(buf)))
         try:
             models = load_models(path)
         except DataError:
