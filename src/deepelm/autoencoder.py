@@ -17,6 +17,7 @@ normalized into [0, 1] first (see deepelm.normalize).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,35 @@ from .elm import (
 from .normalize import DEFAULT_EPSILON, NormalizationStats
 
 
-def logit(p):
+# Elements of 1 - p that logit forms at a time (64 KB).
+_LOGIT_BLOCK = 1 << 13
+
+
+def logit(p, out=None):
     """log(p / (1 - p)) elementwise, the inverse of the sigmoid on (0, 1).
 
-    Computed in one fresh buffer: the decode targets of a whole gallery
-    pass through here while training's peak memory is being set.
+    The result goes into out when given, which may be p itself: training
+    turns the decode targets of a whole gallery into logits in place,
+    while its peak memory is being set. Without out it goes into one fresh
+    array, and p is not modified. 1 - p is formed for a block of slices
+    along p's outermost axis in memory at a time, so the only temporary
+    holds about _LOGIT_BLOCK elements; elementwise arithmetic gives the
+    same bits in any blocking.
     """
-    out = np.subtract(1.0, p)
-    np.divide(p, out, out=out)
+    p = np.asarray(p, dtype=float)
+    if out is None:
+        out = np.empty_like(p)
+    p1, out1 = np.atleast_1d(p, out)
+    if p1.flags.f_contiguous and not p1.flags.c_contiguous:
+        # block along the axis that is outermost in memory, so that each
+        # block is one contiguous run
+        p1, out1 = p1.T, out1.T
+    step = max(1, _LOGIT_BLOCK // (math.prod(p1.shape[1:]) or 1))
+    one_minus = np.empty_like(p1[:step])
+    for i in range(0, len(p1), step):
+        src = p1[i : i + step]
+        np.subtract(1.0, src, out=one_minus[: len(src)])
+        np.divide(src, one_minus[: len(src)], out=out1[i : i + step])
     return np.log(out, out=out)
 
 
@@ -133,14 +155,17 @@ def train_ae_layer(
             )
         mapping = init
     H = hidden_response(mapping, X_in)
-    design, targets = H.T, X_in.T
     if spec.width == d_in:
         # Same-dimension layer: the data stays in one space, so impose
         # orthogonality on the solved weights.
-        W = solve_orthogonal_procrustes(design, targets).B
+        W = solve_orthogonal_procrustes(H.T, X_in.T).B
     else:
-        W = solve_ridge(design, targets, spec.C)
-    return W, activate(mapping.activation, W @ X_in)
+        W = solve_ridge(H.T, X_in.T, spec.C)
+    # Drop the hidden response before the forward product takes its place,
+    # so the layer never holds two (width, s) buffers.
+    del H
+    out = W @ X_in
+    return W, activate(mapping.activation, out, out=out)
 
 
 def train_delm(
@@ -197,9 +222,11 @@ def train_delm(
         weights.append(W)
 
     # Decode layer: fit the logit of the inputs from the last representation
-    # so that the outer sigmoid lands back on X.
+    # so that the outer sigmoid lands back on X. The logit is taken in the
+    # clip's own buffer.
     eps = feature_stats.epsilon if feature_stats is not None else DEFAULT_EPSILON
-    targets = logit(np.clip(X, eps, 1.0 - eps))
+    targets = np.clip(X, eps, 1.0 - eps)
+    logit(targets, out=targets)
     B_final = solve_ridge(H.T, targets.T, final_C)
     weights.append(B_final.T)
 
@@ -218,6 +245,8 @@ def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:
     shape with every entry in (0, 1). A stack of k models prepends an axis
     of length k. Each layer of a stack is one batched matmul, and each
     model's result is bit for bit the one it gives reconstructing alone.
+    The layers write their products, and activate them in place, into two
+    buffers taken in turn, each allocated once per call.
     """
     H = np.asarray(x, dtype=float)
     vec = H.ndim == 1
@@ -227,8 +256,16 @@ def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input of shape {np.shape(x)} incompatible with model dimension {model.input_dim}"
         )
-    for W in model.weights:
-        H = activate(model.activation, W @ H)
+    s = H.shape[1]
+    # a layer of width w outputs per_unit * w elements; buffer j serves the
+    # layers i with i % 2 == j
+    per_unit = math.prod(model.weights[0].shape[:-2]) * s
+    widths = model.dims[1:]
+    buffers = [np.empty(per_unit * max(widths[j::2])) for j in range(min(2, len(widths)))]
+    for i, W in enumerate(model.weights):
+        shape = (*W.shape[:-1], s)
+        out = buffers[i % 2][: math.prod(shape)].reshape(shape)
+        H = activate(model.activation, np.matmul(W, H, out=out), out=out)
     return H[..., 0] if vec else H
 
 
@@ -241,7 +278,8 @@ def reconstruction_error(model: DELMModel, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     vec = x.ndim == 1
     X = x[:, None] if vec else x
-    diff = X - reconstruct(model, X)
+    diff = reconstruct(model, X)
+    np.subtract(X, diff, out=diff)
     err = np.einsum("...ij,...ij->...j", diff, diff)
     if not vec:
         return err

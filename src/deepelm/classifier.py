@@ -117,20 +117,30 @@ class ClassModels:
     ) -> ClassModels:
         """Stack one model per class label, in sorted label order.
 
-        Each class model must carry the global model's feature stats, since
-        the stack keeps them only once, on the global model.
+        Each class model must have the global model's dims and carry its
+        feature stats, since the stack keeps them only once, on the global
+        model. The stacks are allocated first, and each model is looked up
+        once and copied into them before the next lookup, so a mapping
+        that builds its models on lookup (as train_all's does) never has
+        more than one alive.
         """
         if not per_class:
             raise ValueError("per-class models missing")
         labels = tuple(sorted(per_class))
-        for lab in labels:
-            if not _same_stats(per_class[lab].feature_stats, global_model.feature_stats):
+        stacks = [np.empty((len(labels), *W.shape)) for W in global_model.weights]
+        for k, lab in enumerate(labels):
+            model = per_class[lab]
+            if model.dims != global_model.dims:
+                raise ValueError(
+                    f"class '{lab}' has dims {model.dims}, the global model {global_model.dims}"
+                )
+            if not _same_stats(model.feature_stats, global_model.feature_stats):
                 raise ValueError(f"class '{lab}' has feature stats other than the global model's")
-        layers = zip(*(per_class[lab].weights for lab in labels))
+            for layer, W in zip(stacks, model.weights):
+                layer[k] = W
+            del model, W  # before the next lookup builds the next model
         stack = DELMModel(
-            weights=[np.stack(layer) for layer in layers],
-            dims=global_model.dims,
-            activation=global_model.activation,
+            weights=stacks, dims=global_model.dims, activation=global_model.activation
         )
         return cls(global_model, labels, stack, config)
 
@@ -197,19 +207,41 @@ def train_all(
     config: TrainConfig,
     feature_stats: NormalizationStats | None = None,
 ) -> ClassModels:
-    """Train the global model, then one independent model per class."""
+    """Train the global model, then one independent model per class.
+
+    Each class model is trained in label order and copied into the class
+    stack before the next one is trained.
+    """
     labels = gallery.classes
     if len(labels) < 2:
         raise DataError(
             f"classification needs at least 2 classes, gallery has {len(labels)}"
         )
     global_model = train_global(gallery, config, feature_stats=feature_stats)
-    per_class = {}
-    for label in labels:
-        members = [s for s in gallery.sets if s.label == label]
-        merged = ImageSet(concat_features(members), label, set_id=label)
-        per_class[label] = train_class_specific(global_model, merged, config)
+    per_class = _ClassTrainer(gallery, global_model, config)
     return ClassModels.from_models(global_model, per_class, config)
+
+
+class _ClassTrainer(Mapping):
+    """The class models of a gallery, each trained when it is looked up."""
+
+    def __init__(self, gallery: Gallery, global_model: DELMModel, config: TrainConfig):
+        self.gallery = gallery
+        self.global_model = global_model
+        self.config = config
+
+    def __getitem__(self, label: str) -> DELMModel:
+        members = [s for s in self.gallery.sets if s.label == label]
+        if not members:
+            raise KeyError(label)
+        merged = ImageSet(concat_features(members), label, set_id=label)
+        return train_class_specific(self.global_model, merged, self.config)
+
+    def __iter__(self):
+        return iter(self.gallery.classes)
+
+    def __len__(self) -> int:
+        return len(self.gallery.classes)
 
 
 def _same_stats(a: NormalizationStats | None, b: NormalizationStats | None) -> bool:

@@ -28,15 +28,16 @@ from .errors import NumericError
 SIGMOID = "sigmoid"
 
 
-def _sigmoid(u):
-    """1 / (1 + exp(-u)) elementwise, into one fresh buffer.
+def _sigmoid(u, out=None):
+    """1 / (1 + exp(-u)) elementwise, into out or else into one fresh buffer.
 
-    exp(-u) overflows to inf for u below about -709.8, and the reciprocal
-    then saturates to exactly 0; the overflow is expected and not warned
-    about. The argument is never modified; a scalar gives a scalar.
+    out may be u itself, which then holds the result; without out, u is
+    not modified. exp(-u) overflows to inf for u below about -709.8, and
+    the reciprocal then saturates to exactly 0; the overflow is expected
+    and not warned about. A scalar gives a scalar.
     """
     x = np.asarray(u, dtype=float)
-    out = np.negative(x, out=np.empty_like(x))
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -47,17 +48,19 @@ def _sigmoid(u):
 _ACTIVATIONS = {SIGMOID: _sigmoid}
 
 
-def activate(kind: str, u):
+def activate(kind: str, u, out=None):
     """Apply the activation named by kind elementwise to a scalar or array.
 
-    The sigmoid saturates to exactly 0 or 1 for large |u| instead of
-    overflowing.
+    The result goes into out when given, which may be u itself: the
+    forward passes activate each product in place. Without out, u is left
+    untouched. Either way the bits are the same. The sigmoid saturates to
+    exactly 0 or 1 for large |u| instead of overflowing.
     """
     try:
         fn = _ACTIVATIONS[kind]
     except KeyError:
         raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(u)
+    return fn(u, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +121,8 @@ def random_orthonormal_mapping(d: int, n_h: int, seed) -> HiddenLayerParams:
 def hidden_response(params: HiddenLayerParams, X: np.ndarray) -> np.ndarray:
     """Hidden-layer response H with H[i, j] = g(w_i . x_j + b_i).
 
-    X is (d, s); the result is (n_h, s).
+    X is (d, s); the result is (n_h, s), the one buffer the product W X is
+    written to: the bias and the activation are applied in place.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != params.input_dim:
@@ -126,7 +130,9 @@ def hidden_response(params: HiddenLayerParams, X: np.ndarray) -> np.ndarray:
             f"feature matrix of shape {X.shape} incompatible with mapping "
             f"expecting input dimension {params.input_dim}"
         )
-    return activate(params.activation, params.W @ X + params.b[:, None])
+    H = params.W @ X
+    H += params.b[:, None]
+    return activate(params.activation, H, out=H)
 
 
 def _checked_ridge_inputs(H, T, C) -> tuple[np.ndarray, np.ndarray]:

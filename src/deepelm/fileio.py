@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
-import tempfile
 import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -56,11 +56,15 @@ def write_atomic(path: str | Path, data: str | Iterable[Buffer]) -> None:
 
     data is text, written as UTF-8 whatever the locale, or buffers, written
     one after another. A failed write never leaves a partial file at the
-    destination.
+    destination. The file gets the mode open() would give a new file,
+    0o666 less the umask.
     """
     path = Path(path)
     parts = [data.encode("utf-8")] if isinstance(data, str) else data
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # 64 random bits name the temp file; O_EXCL refuses one that exists.
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:

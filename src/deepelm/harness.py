@@ -128,7 +128,9 @@ def inject_noise(
     Gallery sets are targeted under 'ng'/'ngp', probe sets under
     'np'/'ngp'; 'nc' returns the inputs untouched. Donor samples are drawn
     uniformly from all samples of the donor class pooled across gallery and
-    probes (their clean, pre-corruption contents).
+    probes (their clean, pre-corruption contents), each pool holding its
+    class's sets in canonical order. The draws run over the targeted sets,
+    gallery first, and within a set over the other classes in label order.
     """
     if mode not in NOISE_MODES:
         raise ConfigError(f"noise_mode must be one of {NOISE_MODES}, got {mode!r}")
@@ -137,34 +139,39 @@ def inject_noise(
     for p in probes:
         if p.label is None:
             raise ValueError(f"noise injection needs labeled probes, '{p.set_id}' is not")
-    pools: dict[str, np.ndarray] = {}
     everything = list(gallery.sets) + list(probes)
     labels = sorted({s.label for s in everything})
     if len(labels) < 2:
         raise ValueError("noise injection needs at least 2 classes")
-    for label in labels:
-        pools[label] = np.hstack(
-            [s.features for s in canonical_sets(everything) if s.label == label]
-        )
-    rng = np.random.default_rng(seed)
+    # Every pool in one matrix: the sets grouped by label, each group in
+    # canonical order, so pool k is a column range starting at starts[k].
+    pooled = sorted(everything, key=lambda s: (s.label, s.set_id))
+    donors = np.hstack([s.features for s in pooled])
+    index = {label: k for k, label in enumerate(labels)}
+    sizes = np.zeros(len(labels), dtype=np.int64)
+    for s in pooled:
+        sizes[index[s.label]] += s.n_samples
+    starts = np.cumsum(sizes) - sizes
 
-    def corrupt(s: ImageSet) -> ImageSet:
-        extras = []
-        for other in labels:
-            if other == s.label:
-                continue
-            pool = pools[other]
-            extras.append(pool[:, rng.integers(pool.shape[1])])
-        X = np.hstack([s.features] + [e[:, None] for e in extras])
-        return ImageSet(X, s.label, s.set_id)
-
-    new_gallery = gallery
-    if mode in (NOISE_GALLERY, NOISE_BOTH):
-        new_gallery = Gallery([corrupt(s) for s in gallery.sets])
-    new_probes = probes
-    if mode in (NOISE_PROBE, NOISE_BOTH):
-        new_probes = [corrupt(s) for s in probes]
-    return new_gallery, new_probes
+    hit_gallery = mode in (NOISE_GALLERY, NOISE_BOTH)
+    hit_probes = mode in (NOISE_PROBE, NOISE_BOTH)
+    targets = (list(gallery.sets) if hit_gallery else []) + (
+        list(probes) if hit_probes else []
+    )
+    # Row t holds the classes other than target t's, in label order. An
+    # array of bounds draws the same numbers as one scalar draw per bound,
+    # taken in row-major order.
+    own = np.array([index[s.label] for s in targets], dtype=np.int64)
+    rank = np.arange(len(labels) - 1)
+    others = rank + (rank >= own[:, None])
+    picks = starts[others] + np.random.default_rng(seed).integers(sizes[others])
+    extras = donors[:, picks]
+    noisy = [
+        ImageSet(np.hstack([s.features, extras[:, t]]), s.label, s.set_id)
+        for t, s in enumerate(targets)
+    ]
+    n = len(gallery.sets) if hit_gallery else 0
+    return (Gallery(noisy[:n]) if hit_gallery else gallery), (noisy[n:] if hit_probes else probes)
 
 
 def subsample_sets(

@@ -65,6 +65,7 @@ def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
 
     Accepts a (d, s) matrix or a single (d,) vector. Out-of-range values
     clamp to the interval ends; a constant dimension (hi == lo) maps to 0.5.
+    The mapping runs in place in the result, with one temporary.
     """
     X = np.asarray(X, dtype=float)
     vec = X.ndim == 1
@@ -77,12 +78,18 @@ def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     span = stats.hi - stats.lo
     flat = span <= 0
     safe = np.where(flat, 1.0, span)
-    unit = (X - stats.lo[:, None]) / safe[:, None]
-    unit[flat, :] = 0.5
-    np.clip(unit, 0.0, 1.0, out=unit)
+    out = np.subtract(X, stats.lo[:, None])
+    out /= safe[:, None]
+    out[flat, :] = 0.5
+    np.clip(out, 0.0, 1.0, out=out)
     eps = stats.epsilon
-    # convex combination hits the interval ends exactly at unit 0 and 1
-    out = (1.0 - unit) * eps + unit * (1.0 - eps)
+    # The convex combination (1 - u) eps + u (1 - eps) hits the interval
+    # ends exactly at u = 0 and 1. Its terms are rounded as written, and
+    # their sum does not depend on their order.
+    low = np.subtract(1.0, out)
+    low *= eps
+    out *= 1.0 - eps
+    out += low
     np.clip(out, eps, 1.0 - eps, out=out)
     return out[:, 0] if vec else out
 

@@ -336,6 +336,29 @@ def test_non_ascii_label_round_trips_under_posix_locale(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+UMASK_SCRIPT = """
+import os, stat, sys
+from deepelm.fileio import write_atomic
+os.umask(int(sys.argv[1], 8))
+write_atomic(sys.argv[2], "x")
+print(oct(stat.S_IMODE(os.stat(sys.argv[2]).st_mode)))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", "0o644"), ("077", "0o600")])
+def test_written_files_take_the_umask_mode(tmp_path, umask, mode):
+    """write_atomic gives new files the mode open() would, 0o666 less the umask."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", UMASK_SCRIPT, umask, str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 @pytest.mark.parametrize("label", ["-", "a\tb", "a\rb", "a\nb", "ab\n", "a\u2028b"])
 def test_save_gallery_rejects_unwritable_labels_before_writing(tmp_path, label):
     sets = [ImageSet(np.ones((2, 3)), "fine", "a"), ImageSet(np.ones((2, 3)), label, "b")]

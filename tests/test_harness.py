@@ -22,6 +22,7 @@ from deepelm import (
     synth_generate,
     train_all,
 )
+from deepelm.datasets import canonical_sets
 
 
 def parse_kv(text):
@@ -78,6 +79,33 @@ class TestSplitFolds:
                                     dim=6, seed=5)
         with pytest.raises(ConfigError, match="class 'class00' has 1 sets"):
             split_folds(gallery, ProtocolSpec(folds=2, gallery_sets_per_class=1, seed=0))
+
+
+def inject_noise_loop(gallery, probes, mode, seed):
+    """The per-label donor loop inject_noise once ran, as its oracle."""
+    everything = list(gallery.sets) + list(probes)
+    labels = sorted({s.label for s in everything})
+    pools = {
+        label: np.hstack([s.features for s in canonical_sets(everything) if s.label == label])
+        for label in labels
+    }
+    rng = np.random.default_rng(seed)
+
+    def corrupt(s):
+        extras = []
+        for other in labels:
+            if other != s.label:
+                pool = pools[other]
+                extras.append(pool[:, rng.integers(pool.shape[1])])
+        return ImageSet(np.hstack([s.features] + [e[:, None] for e in extras]), s.label, s.set_id)
+
+    new_gallery = gallery
+    if mode in ("ng", "ngp"):
+        new_gallery = Gallery([corrupt(s) for s in gallery.sets])
+    new_probes = probes
+    if mode in ("np", "ngp"):
+        new_probes = [corrupt(s) for s in probes]
+    return new_gallery, new_probes
 
 
 class TestInjectNoise:
@@ -144,6 +172,25 @@ class TestInjectNoise:
         b = inject_noise(gallery, probes, "ngp", seed=7)
         for sa, sb in zip(a[0].sets, b[0].sets):
             assert np.array_equal(sa.features, sb.features)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mode", ["ng", "np", "ngp"])
+    def test_matches_per_label_loop(self, mode, seed):
+        # uneven pools, one of a single sample, in no canonical order
+        rng = np.random.default_rng(seed)
+        gallery, probes = self._inputs(c=4, seed=seed)
+        cut = [ImageSet(s.features[:, : rng.integers(1, 7)], s.label, s.set_id)
+               for s in reversed(gallery.sets)]
+        cut.append(ImageSet(rng.random((6, 1)), "lone", "a_lone"))
+        gallery, probes = Gallery(cut), probes[::-1]
+        got = inject_noise(gallery, probes, mode, seed=[seed, 2])
+        want = inject_noise_loop(gallery, probes, mode, seed=[seed, 2])
+        for got_sets, want_sets in zip((got[0].sets, got[1]), (want[0].sets, want[1])):
+            assert [s.set_id for s in got_sets] == [s.set_id for s in want_sets]
+            for a, b in zip(got_sets, want_sets, strict=True):
+                assert a.features.shape == b.features.shape
+                assert a.features.tobytes() == b.features.tobytes()
+                assert a.label == b.label
 
     def test_rejects_unknown_mode(self):
         gallery, probes = self._inputs()
