@@ -223,25 +223,28 @@ def train_all(
 
 
 class _ClassTrainer(Mapping):
-    """The class models of a gallery, each trained when it is looked up."""
+    """The class models of a gallery, each trained when it is looked up.
+
+    The gallery's sets are grouped by label once, so a lookup touches only
+    its own class's sets.
+    """
 
     def __init__(self, gallery: Gallery, global_model: DELMModel, config: TrainConfig):
-        self.gallery = gallery
+        self.members: dict[str, list[ImageSet]] = {}
+        for s in gallery.sets:
+            self.members.setdefault(s.label, []).append(s)
         self.global_model = global_model
         self.config = config
 
     def __getitem__(self, label: str) -> DELMModel:
-        members = [s for s in self.gallery.sets if s.label == label]
-        if not members:
-            raise KeyError(label)
-        merged = ImageSet(concat_features(members), label, set_id=label)
+        merged = ImageSet(concat_features(self.members[label]), label, set_id=label)
         return train_class_specific(self.global_model, merged, self.config)
 
     def __iter__(self):
-        return iter(self.gallery.classes)
+        return iter(sorted(self.members))
 
     def __len__(self) -> int:
-        return len(self.gallery.classes)
+        return len(self.members)
 
 
 def _same_stats(a: NormalizationStats | None, b: NormalizationStats | None) -> bool:

@@ -322,9 +322,8 @@ def synth_generate(params: SynthParams) -> Gallery:
         label = f"class{j:02d}"
         for k in range(params.sets_per_class):
             if params.manifold == GAUSSIAN_BLOB:
-                X = centers[j][:, None] + rng.normal(
-                    0.0, sigma, size=(d, params.samples_per_set)
-                )
+                X = _scatter(rng, sigma, (d, params.samples_per_set))
+                X += centers[j][:, None]
             else:
                 (u, v), freq, phase = curves[j]
                 t = rng.uniform(-1.0, 1.0, size=params.samples_per_set)
@@ -332,10 +331,22 @@ def synth_generate(params: SynthParams) -> Gallery:
                     centers[j][:, None]
                     + _CURVE_SPAN * np.outer(u, t)
                     + _CURVE_WOBBLE * np.outer(v, np.sin(2.0 * np.pi * freq * t + phase))
-                    + rng.normal(0.0, sigma, size=(d, params.samples_per_set))
+                    + _scatter(rng, sigma, (d, params.samples_per_set))
                 )
             sets.append(ImageSet(X, label, f"{label}_set{k:02d}"))
     return Gallery(sets)
+
+
+def _scatter(rng, sigma: float, shape) -> np.ndarray:
+    """rng.normal(0.0, sigma, shape)'s draws, scaled in place.
+
+    They differ from what rng.normal returns only where a draw is zero,
+    whose sign rng.normal's added 0.0 clears; a sum with any term but
+    -0.0 gives the same bits either way.
+    """
+    z = rng.standard_normal(shape)
+    z *= sigma
+    return z
 
 
 def _separated_directions(rng, c: int, d: int, min_sep: float) -> np.ndarray:

@@ -184,7 +184,7 @@ def solve_ridge_overdetermined(H: np.ndarray, T: np.ndarray, C: float) -> np.nda
     """
     H, T = _checked_ridge_inputs(H, T, C)
     gram = H.T @ H
-    gram[np.diag_indices_from(gram)] += 1.0 / C
+    gram.flat[:: gram.shape[0] + 1] += 1.0 / C
     return _finite_or_lstsq(_lu_solve(gram, H.T @ T), H, T)
 
 
@@ -197,7 +197,7 @@ def solve_ridge_underdetermined(H: np.ndarray, T: np.ndarray, C: float) -> np.nd
     """
     H, T = _checked_ridge_inputs(H, T, C)
     gram = H @ H.T
-    gram[np.diag_indices_from(gram)] += 1.0 / C
+    gram.flat[:: gram.shape[0] + 1] += 1.0 / C
     A = _lu_solve(gram, T)
     return _finite_or_lstsq(None if A is None else H.T @ A, H, T)
 

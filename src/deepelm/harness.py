@@ -18,6 +18,7 @@ import numpy as np
 from .classifier import TrainConfig, classify_set, train_all
 from .datasets import Gallery, ImageSet, canonical_sets, normalize_gallery
 from .errors import ConfigError
+from .normalize import NormalizationStats
 
 NOISE_CLEAN = "nc"
 NOISE_GALLERY = "ng"
@@ -61,16 +62,18 @@ class ProtocolSpec:
 class RunReport:
     """Accuracies, timings and a config echo sufficient to reproduce a run.
 
-    train_seconds is the wall-clock total over all folds; test_seconds_per_set
-    is the mean wall clock of classifying one probe set. peak_memory_bytes is
-    an allocation-accounting estimate of peak training memory, not an OS
-    resident-set measurement.
+    train_seconds is the wall-clock total over all folds, timed with
+    allocation tracing off; test_seconds_per_set is the mean wall clock of
+    classifying one probe set. peak_memory_bytes is an allocation-accounting
+    estimate of peak training memory, not an OS resident-set measurement,
+    taken in an untimed pass of its own. measure_run reports it; k-fold runs
+    do not measure it and leave it None.
     """
 
     fold_accuracies: tuple[float, ...]
     train_seconds: float
     test_seconds_per_set: float
-    peak_memory_bytes: int
+    peak_memory_bytes: int | None
     config: TrainConfig
     protocol: ProtocolSpec | None
     data_summary: dict
@@ -198,32 +201,38 @@ def subsample_sets(
     return Gallery([cap(s) for s in gallery.sets]), [cap(s) for s in probes]
 
 
-def _traced(fn):
-    """Run fn() while accounting allocations; returns (result, seconds, peak)."""
+def _training_peak(
+    norm_gal: Gallery, config: TrainConfig, stats: NormalizationStats
+) -> int:
+    """Allocation-accounting peak of one untimed train_all, in bytes."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
-    baseline, _ = tracemalloc.get_traced_memory()
-    tracemalloc.reset_peak()
-    t0 = time.perf_counter()
-    result = fn()
-    seconds = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    if not was_tracing:
-        tracemalloc.stop()
-    return result, seconds, max(0, peak - baseline)
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        train_all(norm_gal, config, feature_stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return max(0, peak - baseline)
 
 
-def _train_and_test(gallery: Gallery, probes: list[ImageSet], config: TrainConfig):
-    """Normalize and train on the gallery, then classify every probe set.
+def _train_and_test(
+    norm_gal: Gallery,
+    stats: NormalizationStats,
+    probes: list[ImageSet],
+    config: TrainConfig,
+):
+    """Train on a normalized gallery, then classify every probe set.
 
     Returns (accuracy over the labeled probes, or 0.0 without any;
-    training seconds; summed classification seconds; training peak bytes).
+    training seconds; summed classification seconds).
     """
-    norm_gal, stats = normalize_gallery(gallery)
-    models, train_s, peak = _traced(
-        lambda: train_all(norm_gal, config, feature_stats=stats)
-    )
+    t0 = time.perf_counter()
+    models = train_all(norm_gal, config, feature_stats=stats)
+    train_s = time.perf_counter() - t0
     test_s = 0.0
     correct = labeled = 0
     for probe in probes:
@@ -234,7 +243,7 @@ def _train_and_test(gallery: Gallery, probes: list[ImageSet], config: TrainConfi
             labeled += 1
             correct += pred.set_label == probe.label
     accuracy = 100.0 * correct / labeled if labeled else 0.0
-    return accuracy, train_s, test_s, peak
+    return accuracy, train_s, test_s
 
 
 def _evaluate_fold(
@@ -251,24 +260,28 @@ def _evaluate_fold(
     gal, probe_sets = inject_noise(
         gal, probe_sets, spec.noise_mode, seed=[spec.seed, fold, 2]
     )
-    accuracy, train_s, test_s, peak = _train_and_test(gal, probe_sets, config)
+    norm_gal, stats = normalize_gallery(gal)
+    accuracy, train_s, test_s = _train_and_test(norm_gal, stats, probe_sets, config)
     max_set = max(s.n_samples for s in list(gal.sets) + list(probe_sets))
-    return accuracy, train_s, test_s, len(probe_sets), peak, max_set
+    return accuracy, train_s, test_s, len(probe_sets), max_set
 
 
 def run_kfold(gallery: Gallery, spec: ProtocolSpec, config: TrainConfig) -> RunReport:
-    """Repeat train/classify over seeded gallery-probe splits."""
+    """Repeat train/classify over seeded gallery-probe splits.
+
+    Training memory is not measured: each fold trains once, timed, with
+    allocation tracing off. measure_run reports the peak.
+    """
     folds = split_folds(gallery, spec)
-    accs, train_total, test_total, n_probes, peaks, max_sets = [], 0.0, 0.0, 0, [], []
+    accs, train_total, test_total, n_probes, max_sets = [], 0.0, 0.0, 0, []
     for fold, (gal_sets, probe_sets) in enumerate(folds):
-        acc, train_s, test_s, n, peak, max_set = _evaluate_fold(
+        acc, train_s, test_s, n, max_set = _evaluate_fold(
             gal_sets, probe_sets, spec, config, fold
         )
         accs.append(acc)
         train_total += train_s
         test_total += test_s
         n_probes += n
-        peaks.append(peak)
         max_sets.append(max_set)
     c = len(gallery.classes)
     summary = {
@@ -283,7 +296,7 @@ def run_kfold(gallery: Gallery, spec: ProtocolSpec, config: TrainConfig) -> RunR
         fold_accuracies=tuple(accs),
         train_seconds=train_total,
         test_seconds_per_set=test_total / max(1, n_probes),
-        peak_memory_bytes=max(peaks),
+        peak_memory_bytes=None,
         config=config,
         protocol=spec,
         data_summary=summary,
@@ -295,10 +308,14 @@ def measure_run(
 ) -> RunReport:
     """Time one full train plus per-set classification pass.
 
-    Timings are wall clock; memory is the allocation-accounting peak while
-    training. Accuracy is computed over whichever probes carry labels.
+    The gallery trains twice: first in an untimed pass under tracemalloc,
+    which gives the allocation-accounting peak, then in the timed pass with
+    tracing off, whose models classify the probes. Timings are wall clock.
+    Accuracy is computed over whichever probes carry labels.
     """
-    accuracy, train_s, test_s, peak = _train_and_test(gallery, probes, config)
+    norm_gal, stats = normalize_gallery(gallery)
+    peak = _training_peak(norm_gal, config, stats)
+    accuracy, train_s, test_s = _train_and_test(norm_gal, stats, probes, config)
     summary = {
         "classes": len(gallery.classes),
         "sets": len(gallery.sets),
@@ -400,7 +417,10 @@ def report_text(report: RunReport) -> str:
     )
     lines.append(f"train time: {report.train_seconds:.2f} s total")
     lines.append(f"test time: {report.test_seconds_per_set:.6f} s per probe set")
-    lines.append(
-        f"peak training memory estimate: {report.peak_memory_bytes} bytes"
-    )
+    if report.peak_memory_bytes is None:
+        lines.append("peak training memory: not measured (see `deepelm bench`)")
+    else:
+        lines.append(
+            f"peak training memory estimate: {report.peak_memory_bytes} bytes"
+        )
     return "\n".join(lines) + "\n"

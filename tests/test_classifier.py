@@ -85,6 +85,35 @@ class TestTrainGlobal:
         assert model.dims == (100, 20, 20, 100)
 
 
+def test_train_all_trains_each_class_on_its_sets_in_label_order(monkeypatch):
+    import deepelm.classifier as classifier_module
+
+    gallery = make_blob_gallery(classes=4, sets_per_class=3, samples_per_set=5,
+                                dim=8, seed=21)
+    norm, stats = normalize_gallery(gallery)
+    # interleave the classes and reverse each one's sets
+    shuffled = Gallery(sorted(norm.sets, key=lambda s: (s.set_id[-2:], s.label))[::-1])
+    cfg = small_config(seed=21, widths=(4, 4))
+    seen = []
+    real = classifier_module.train_class_specific
+
+    def record(global_model, class_set, config):
+        seen.append((class_set.label, class_set.features.tobytes()))
+        return real(global_model, class_set, config)
+
+    monkeypatch.setattr(classifier_module, "train_class_specific", record)
+    models = train_all(shuffled, cfg, feature_stats=stats)
+    labels = sorted(gallery.classes)
+    assert [lab for lab, _ in seen] == labels
+    for lab, data in seen:
+        members = [s for s in norm.sets if s.label == lab]
+        assert data == concat_features(members).tobytes()
+    monkeypatch.undo()
+    again = train_all(norm, cfg, feature_stats=stats)
+    for Wa, Wb in zip(models.class_stack.weights, again.class_stack.weights):
+        assert Wa.tobytes() == Wb.tobytes()
+
+
 class TestTrainClassSpecific:
     def test_refit_on_same_data_not_worse(self):
         gallery = make_blob_gallery(classes=2, sets_per_class=2, samples_per_set=10,

@@ -25,6 +25,13 @@ from deepelm import (
     synth_generate,
 )
 from deepelm.datasets import (
+    GAUSSIAN_BLOB,
+    MANIFOLDS,
+    SINUSOIDAL_MANIFOLD,
+    _CURVE_SPAN,
+    _CURVE_WOBBLE,
+    _orthonormal_pair,
+    _separated_directions,
     load_feature_matrix,
     parse_manifest,
     save_feature_matrix,
@@ -398,3 +405,55 @@ class TestNormalizeGallery:
         # reapplying the same stats to the raw sets reproduces the output
         for raw, cooked in zip(g.sets, norm.sets):
             assert np.array_equal(apply_stats(raw.features, stats), cooked.features)
+
+
+def synth_generate_oracle(params):
+    """synth_generate as written with one rng.normal(0.0, sigma, size) per set."""
+    rng = np.random.default_rng(params.seed)
+    c, d = params.classes, params.feature_dim
+    sigma = params.noise_sigma
+    if params.manifold == GAUSSIAN_BLOB:
+        min_sep = 8.0 * sigma
+    else:
+        min_sep = 2.0 * (_CURVE_SPAN + _CURVE_WOBBLE) + 8.0 * sigma
+    centers = _separated_directions(rng, c, d, min_sep)
+    curves = []
+    if params.manifold == SINUSOIDAL_MANIFOLD:
+        for _ in range(c):
+            basis = _orthonormal_pair(rng, d)
+            freq = rng.uniform(0.75, 1.5)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            curves.append((basis, freq, phase))
+    sets = []
+    for j in range(c):
+        label = f"class{j:02d}"
+        for k in range(params.sets_per_class):
+            if params.manifold == GAUSSIAN_BLOB:
+                X = centers[j][:, None] + rng.normal(
+                    0.0, sigma, size=(d, params.samples_per_set)
+                )
+            else:
+                (u, v), freq, phase = curves[j]
+                t = rng.uniform(-1.0, 1.0, size=params.samples_per_set)
+                X = (
+                    centers[j][:, None]
+                    + _CURVE_SPAN * np.outer(u, t)
+                    + _CURVE_WOBBLE * np.outer(v, np.sin(2.0 * np.pi * freq * t + phase))
+                    + rng.normal(0.0, sigma, size=(d, params.samples_per_set))
+                )
+            sets.append((label, f"{label}_set{k:02d}", X))
+    return sets
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS)
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_synth_generate_matches_per_set_normal_draws(manifold, sigma):
+    for seed in range(10):
+        params = SynthParams(classes=4, sets_per_class=3, samples_per_set=7,
+                             feature_dim=9, manifold=manifold, noise_sigma=sigma,
+                             seed=seed)
+        want = synth_generate_oracle(params)
+        got = synth_generate(params)
+        assert [(s.label, s.set_id) for s in got.sets] == [w[:2] for w in want]
+        for s, (_, _, X) in zip(got.sets, want):
+            assert s.features.tobytes() == X.tobytes()

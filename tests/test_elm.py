@@ -162,6 +162,17 @@ class TestHiddenResponse:
             hidden_response(params, np.zeros((5, 2)))
 
 
+def diag_indices_ridge(H, T, C):
+    """The ridge solvers as written with np.diag_indices_from for 1/C."""
+    if H.shape[0] >= H.shape[1]:
+        gram = H.T @ H
+        gram[np.diag_indices_from(gram)] += 1.0 / C
+        return np.linalg.solve(gram, H.T @ T)
+    gram = H @ H.T
+    gram[np.diag_indices_from(gram)] += 1.0 / C
+    return H.T @ np.linalg.solve(gram, T)
+
+
 class TestRidgeSolvers:
     def test_identity_system(self):
         n = 6
@@ -175,6 +186,15 @@ class TestRidgeSolvers:
         B = solve_ridge_overdetermined(H, T, 10.0)
         Bo = normal_equation_oracle(H, T, 10.0)
         assert np.linalg.norm(B - Bo) <= 1e-9 * np.linalg.norm(Bo)
+
+    @pytest.mark.parametrize("shape", [(30, 8), (8, 8), (5, 12), (1, 3)])
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e6, 1e18])
+    def test_diagonal_update_keeps_the_bits(self, shape, C):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        H = rng.random(shape)
+        T = rng.random((shape[0], 3))
+        B = solve_ridge(H, T, C)
+        assert B.tobytes() == diag_indices_ridge(H, T, C).tobytes()
 
     def test_vanishing_C_shrinks_solution(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from deepelm import (
     synth_generate,
     train_all,
 )
+from deepelm import harness
 from deepelm.datasets import canonical_sets
 
 
@@ -291,6 +294,50 @@ class TestRunKfold:
         assert report.data_summary["max_set_samples"] == 5
 
 
+@pytest.fixture
+def traced_flags(monkeypatch):
+    """Whether tracemalloc was on at each harness.train_all call."""
+    flags = []
+    real = harness.train_all
+
+    def train_all_recording(*args, **kwargs):
+        flags.append(tracemalloc.is_tracing())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_all", train_all_recording)
+    return flags
+
+
+class TestTrainingUntraced:
+    def test_run_kfold_trains_every_fold_untraced(self, traced_flags):
+        gallery = make_blob_gallery(classes=3, sets_per_class=4, samples_per_set=9,
+                                    dim=8, seed=16)
+        spec = ProtocolSpec(folds=3, gallery_sets_per_class=2, seed=16,
+                            noise_mode="ngp", max_samples_per_set=4)
+        report = run_kfold(gallery, spec, small_config(seed=16, widths=(4, 4)))
+        assert traced_flags == [False, False, False]
+        assert report.peak_memory_bytes is None
+
+    def test_measure_run_traces_one_pass_and_times_another(self, traced_flags):
+        gallery = make_blob_gallery(classes=3, sets_per_class=2, samples_per_set=8,
+                                    dim=10, seed=17)
+        report = measure_run(gallery, list(gallery.sets), small_config(seed=17, widths=(4, 4)))
+        assert traced_flags == [True, False]
+        assert not tracemalloc.is_tracing()
+        assert report.peak_memory_bytes > 0
+
+    def test_measure_run_leaves_a_running_trace_on(self, traced_flags):
+        gallery = make_blob_gallery(classes=2, sets_per_class=2, samples_per_set=6,
+                                    dim=6, seed=18)
+        tracemalloc.start()
+        try:
+            measure_run(gallery, list(gallery.sets), small_config(seed=18, widths=(3, 3)))
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        assert traced_flags == [True, True]
+
+
 class TestMajorityVoteRobustness:
     def test_corrupted_set_keeps_its_label(self):
         c = 3
@@ -367,6 +414,23 @@ class TestReportRendering:
         assert "folds=2" in text
         assert "accuracy" in text
         assert "train time" in text
+
+    def test_kfold_reports_leave_the_peak_unmeasured(self):
+        report = self._report()
+        assert report.peak_memory_bytes is None
+        assert parse_kv(report_key_values(report))["peak_memory_bytes"] == ""
+        text = report_text(report)
+        assert "peak training memory: not measured (see `deepelm bench`)" in text
+        assert "estimate" not in text
+
+    def test_measured_peak_rendered_in_bytes(self):
+        gallery = make_blob_gallery(classes=2, sets_per_class=2, samples_per_set=5,
+                                    dim=6, seed=15)
+        report = measure_run(gallery, list(gallery.sets), small_config(seed=15, widths=(3, 3)))
+        kv = parse_kv(report_key_values(report))
+        assert int(kv["peak_memory_bytes"]) == report.peak_memory_bytes > 0
+        text = report_text(report)
+        assert f"peak training memory estimate: {report.peak_memory_bytes} bytes" in text
 
 
 class TestProtocolValidation:
