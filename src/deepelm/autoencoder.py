@@ -66,6 +66,26 @@ def logit(p, out=None):
     return np.log(out, out=out)
 
 
+# From this many bytes on, a weight array is checked finite through its sum,
+# which allocates nothing, in place of the boolean mask, an eighth of its
+# bytes, that isfinite allocates. Below it the mask is faster; from about
+# 1 MiB on the two take the same time.
+_SUM_CHECK_BYTES = 1 << 20
+
+
+def _all_finite(W: np.ndarray) -> bool:
+    """Whether every entry of W is finite.
+
+    A finite sum proves it; only a sum that overflowed, or met a NaN or an
+    inf, needs the entrywise check.
+    """
+    if W.nbytes >= _SUM_CHECK_BYTES:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(W.sum()):
+                return True
+    return bool(np.isfinite(W).all())
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Width, ridge tradeoff and seed for one auto-encoder layer."""
@@ -119,7 +139,7 @@ class DELMModel:
             expect = (*stack, self.dims[i + 1], self.dims[i])
             if W.shape != expect:
                 raise ValueError(f"weights[{i}] has shape {W.shape}, expected {expect}")
-            if not np.isfinite(W).all():
+            if not _all_finite(W):
                 raise ValueError(f"weights[{i}] contains non-finite entries")
 
     @property

@@ -18,7 +18,12 @@ weight arrays straight from their own memory, with the CRC chained over
 them, and a load reads each array straight from the file into its own
 fresh array, checking the CRCs as it goes. So a save allocates no more
 than the small header parts, and a load little more than the arrays it
-returns.
+returns. A container of 1 MiB or more is saved while a worker thread
+chains its CRC, and a file of 2.5 MiB or more is loaded the same way; the
+bytes on disk, the loaded arrays and the order of diagnoses (a corrupt
+file is a checksum mismatch, whichever field the corruption reached) are
+the same as inline. Every save and load joins its workers before it
+returns or raises.
 """
 
 from __future__ import annotations

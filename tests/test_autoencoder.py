@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logit
@@ -297,6 +299,26 @@ class TestModelValidation:
     def test_weight_shapes_checked(self):
         with pytest.raises(ValueError, match="shape"):
             DELMModel(weights=[np.zeros((3, 5)), np.zeros((5, 4))], dims=(5, 3, 5))
+
+    @pytest.mark.parametrize("n", [5, 256], ids=["small", "above_sum_check"])
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                     [np.nan, 1e308, 1e308]])
+    def test_non_finite_entries_rejected_without_warnings(self, bad, n):
+        W = np.zeros((2, n, n))
+        W.flat[: len(bad)] = bad
+        assert (W.nbytes >= ae._SUM_CHECK_BYTES) == (n == 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"weights\[1\] contains non-finite"):
+                DELMModel(weights=[np.zeros((2, n, n)), W], dims=(n, n, n))
+
+    @pytest.mark.parametrize("n", [5, 256], ids=["small", "above_sum_check"])
+    def test_finite_entries_whose_sum_overflows_accepted(self, n):
+        W = np.full((2, n, n), 1e308)
+        W[0, 0, 0] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            DELMModel(weights=[W, W], dims=(n, n, n))
 
     def test_layer_spec_validation(self):
         with pytest.raises(ValueError):

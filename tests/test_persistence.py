@@ -1,7 +1,12 @@
+import errno
 import io
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from conftest import make_blob_gallery, small_config
 from deepelm import (
     SIGMOID,
+    ClassModels,
     DELMModel,
     DataError,
     SynthParams,
@@ -26,8 +32,10 @@ from deepelm import (
     train_delm,
 )
 from deepelm.autoencoder import LayerSpec
+from deepelm.datasets import load_feature_matrix, save_feature_matrix
 from deepelm.cli import main
-from deepelm.fileio import Reader, pack_text, seal
+from deepelm import fileio
+from deepelm.fileio import CRCWorker, Reader, f64_view, pack_text, seal, write_atomic
 from deepelm.normalize import NormalizationStats
 from deepelm.persistence import _array_parts, _pack_config, _read_config, pack_model
 
@@ -70,13 +78,29 @@ def bundle(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def large(tmp_path_factory):
+    """A bundle (3.9 MB) above both thresholds at which the CRC moves to a thread."""
+    gallery = make_blob_gallery(classes=4, sets_per_class=2, samples_per_set=20,
+                                dim=200, seed=8)
+    norm, stats = normalize_gallery(gallery)
+    models = train_all(norm, small_config(seed=8, widths=(200, 200)), feature_stats=stats)
+    path = tmp_path_factory.mktemp("large") / "large.dlmc"
+    save_models(path, models)
+    assert path.stat().st_size >= max(2 << 20, fileio._OPEN_THREADED)
+    return models, path
+
+
+@pytest.fixture(scope="module")
 def probe_manifest(tmp_path_factory):
-    """Probe manifests matching the bundle (d=9) and the v1 fixture (d=5)."""
+    """Probe manifests matching the bundle (d=9), the v1 fixture (d=5) and
+    the large bundle (d=200)."""
     root = tmp_path_factory.mktemp("probes")
     blobs = make_blob_gallery(classes=3, sets_per_class=2, samples_per_set=6, dim=9, seed=31)
+    wide = make_blob_gallery(classes=4, sets_per_class=2, samples_per_set=20, dim=200, seed=8)
     return {
         9: save_gallery(blobs.sets[:2], root / "d9"),
         5: save_gallery(synth_generate(V1_GALLERY).sets[:2], root / "d5"),
+        200: save_gallery(wide.sets[:2], root / "d200"),
     }
 
 
@@ -329,18 +353,19 @@ class TestCopyFreeIO:
         finally:
             tracemalloc.stop()
 
-    def test_save_allocates_less_than_the_stacks(self, wide):
-        models, path = wide
-        stack_bytes = sum(W.nbytes for W in models.class_stack.weights)
-        peak, _ = self.traced_peak(save_models, path, models)
-        assert peak < stack_bytes, (peak, stack_bytes)
+    def test_save_allocates_less_than_the_stacks(self, wide, large):
+        # large checksums on a worker thread, wide inline
+        for models, path in (wide, large):
+            stack_bytes = sum(W.nbytes for W in models.class_stack.weights)
+            peak, _ = self.traced_peak(save_models, path, models)
+            assert peak < stack_bytes, (peak, stack_bytes)
 
-    def test_load_allocates_little_more_than_the_arrays(self, wide):
-        models, path = wide
-        peak, back = self.traced_peak(load_models, path)
-        # the arrays plus small read-ahead windows, never a file-sized buffer
-        assert peak < path.stat().st_size + 192 * 1024, (peak, path.stat().st_size)
-        models_equal(models.class_stack, back.class_stack)
+    def test_load_allocates_little_more_than_the_arrays(self, wide, large):
+        for models, path in (wide, large):
+            peak, back = self.traced_peak(load_models, path)
+            # the arrays plus small read-ahead windows, never a file-sized buffer
+            assert peak < path.stat().st_size + 192 * 1024, (peak, path.stat().st_size)
+            models_equal(models.class_stack, back.class_stack)
 
 
 class TestFormatVersion1:
@@ -501,3 +526,251 @@ def test_seeded_byte_flips_fail_only_with_data_error(fmt, bundle, probe_manifest
             assert classify_exit(path, manifest, tmp_path, capsys) == 0, pos
     print(f"{fmt}: {rejected} of {len(positions)} flips rejected")
     assert rejected >= header // 2, (rejected, len(positions))
+
+
+def large_model(seed: int = 0, d: int = 400) -> DELMModel:
+    """A single model of (d, d, d) layers, above both CRC thread thresholds."""
+    rng = np.random.default_rng(seed)
+    stats = NormalizationStats(lo=-rng.random(d), hi=1.0 + rng.random(d))
+    weights = [rng.standard_normal((d, d)) for _ in range(3)]
+    return DELMModel(weights=weights, dims=(d, d, d, d), feature_stats=stats)
+
+
+def part_list(size: int) -> list:
+    """Synthetic payload parts of size bytes in all: a header, a zero-length
+    part, the bytes of an F-ordered array and a tail."""
+    rng = np.random.default_rng(size)
+    head, tail = b"HEAD", b"T" * (size % 8 + 8)
+    cols = (size - len(head) - len(tail)) // 8 // 16
+    rest = size - len(head) - len(tail) - 8 * 16 * cols
+    a = np.asfortranarray(rng.standard_normal((16, cols)))
+    parts = [head, b"", f64_view(a), tail + b"R" * rest]
+    assert sum(len(p) for p in parts) == size
+    return parts
+
+
+class TestCRCWorker:
+    """Large containers are checksummed on a worker thread as they are
+    written and read; the bytes and the loaded arrays stay the same."""
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_synthetic_parts_around_the_threshold(self, tmp_path, delta):
+        size = fileio._SEAL_THREADED + delta
+        parts = part_list(size)
+        expect = oracle_sealed(b"".join(bytes(p) for p in parts))
+        sealed_parts = seal(parts)
+        assert isinstance(sealed_parts[-1], CRCWorker) == (delta >= 0)
+        path = tmp_path / "synthetic.bin"
+        write_atomic(path, sealed_parts)
+        assert path.read_bytes() == expect
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_nested_container_around_the_threshold(self, tmp_path, delta):
+        """An inner worker's trailer is chained by the enclosing container's."""
+        inner = seal(part_list(fileio._SEAL_THREADED + delta))
+        head = struct.pack("<Q", sum(len(p) for p in inner))
+        outer = seal([b"OUTER", head, *inner, b"after"])
+        assert isinstance(outer[-1], CRCWorker)
+        path = tmp_path / "nested.bin"
+        write_atomic(path, outer)
+        inner_bytes = oracle_sealed(b"".join(bytes(p) for p in inner[:-1]))
+        assert path.read_bytes() == oracle_sealed(b"OUTER" + head + inner_bytes + b"after")
+
+    def test_worker_error_raised_by_value(self):
+        """A part the worker cannot checksum raises where the CRC is read,
+        so no wrong trailer is ever written."""
+        worker = CRCWorker()
+        worker.put(b"x" * 10_000)
+        worker.put("not a buffer")
+        with pytest.raises(TypeError):
+            worker.trailer()
+        assert not worker._thread.is_alive()
+
+    def test_concurrent_saves_and_loads_with_fast_thread_switching(self, large, tmp_path):
+        """Three callers, each with its own worker, on two cores, switching
+        threads every microsecond: every file and every load stays exact."""
+        models, _ = large
+        expect = oracle_bundle(models)
+
+        def cycles(k):
+            for i in range(3):
+                path = tmp_path / f"c{k}-{i}.dlmc"
+                save_models(path, models)
+                assert path.read_bytes() == expect
+                models_equal(models.class_stack, load_models(path).class_stack)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                for future in [pool.submit(cycles, k) for k in range(3)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_large_bundle_bytes_match_oracle_and_round_trip(self, large):
+        models, path = large
+        assert path.read_bytes() == oracle_bundle(models)
+        back = load_models(path)
+        assert back.class_labels == models.class_labels
+        assert back.config == models.config
+        models_equal(models.global_model, back.global_model)
+        models_equal(models.class_stack, back.class_stack)
+
+    def test_bundle_with_a_large_global_model(self, tmp_path):
+        """The global model's own container is above the seal threshold."""
+        glob = large_model(seed=1, d=400)
+        assert sum(W.nbytes for W in glob.weights) >= fileio._SEAL_THREADED
+        stack = DELMModel(
+            weights=[np.stack([W, -W]) for W in large_model(seed=2, d=400).weights],
+            dims=glob.dims,
+        )
+        config = small_config(seed=1, widths=(400, 400))
+        big = ClassModels(glob, ("a", "b"), stack, config)
+        path = tmp_path / "nested.dlmc"
+        save_models(path, big)
+        assert path.read_bytes() == oracle_bundle(big)
+        back = load_models(path)
+        models_equal(glob, back.global_model)
+        models_equal(stack, back.class_stack)
+
+    def test_large_model_file_matches_oracle_and_round_trips(self, tmp_path):
+        model = large_model()
+        path = tmp_path / "m.delm"
+        save_model(path, model)
+        assert path.stat().st_size >= fileio._OPEN_THREADED
+        assert path.read_bytes() == oracle_model(model)
+        models_equal(model, load_model(path))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_large_feature_file_matches_oracle_and_round_trips(self, tmp_path, order):
+        X = np.asarray(np.random.default_rng(3).random((200, 2000)), order=order)
+        path = tmp_path / "x.dlmf"
+        save_feature_matrix(path, X)
+        header = struct.pack("<4sIII", b"DLMF", 1, *X.shape)
+        assert path.stat().st_size >= fileio._OPEN_THREADED
+        assert path.read_bytes() == oracle_sealed(header + X.T.astype("<f8").tobytes())
+        back = load_feature_matrix(path)
+        assert back.shape == X.shape and back.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("region", ["first", "middle", "last", "trailer"])
+    def test_bit_flips_are_checksum_mismatches(
+        self, large, probe_manifest, tmp_path, capsys, region
+    ):
+        _, path = large
+        raw = path.read_bytes()
+        mib = 1 << 20
+        lo, hi = {
+            "first": (0, mib),
+            "middle": (len(raw) // 2 - mib // 2, len(raw) // 2 + mib // 2),
+            "last": (len(raw) - 4 - mib, len(raw) - 4),
+            "trailer": (len(raw) - 4, len(raw)),
+        }[region]
+        rng = np.random.default_rng(sum(map(ord, region)))
+        for pos in rng.integers(lo, hi, 3).tolist():
+            buf = bytearray(raw)
+            buf[pos] ^= 1 << int(rng.integers(8))
+            bad = tmp_path / f"flip-{pos}.dlmc"
+            bad.write_bytes(bytes(buf))
+            with pytest.raises(DataError, match="checksum mismatch"):
+                load_models(bad)
+            assert classify_exit(bad, probe_manifest[200], tmp_path, capsys) == 2, pos
+
+    def test_truncations_are_data_errors(self, large, tmp_path):
+        _, path = large
+        raw = path.read_bytes()
+        for keep in (0, 3, 100, 70_000, 1 << 20, len(raw) // 2, len(raw) - 5, len(raw) - 1):
+            bad = tmp_path / f"cut-{keep}.dlmc"
+            bad.write_bytes(raw[:keep])
+            with pytest.raises(DataError, match="checksum|truncated|bad magic"):
+                load_models(bad)
+
+
+class FailingFile:
+    """A binary file whose writes after the first raise ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+class TestNoThreadLeftBehind:
+    """Every CRC worker is joined before the call that started it returns."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started through threading.Thread, in order."""
+        threads = []
+        real = threading.Thread
+
+        def counting(*args, **kwargs):
+            t = real(*args, **kwargs)
+            threads.append(t)
+            return t
+
+        monkeypatch.setattr(threading, "Thread", counting)
+        return threads
+
+    @staticmethod
+    def check_joined(before, started):
+        assert started, "no worker thread was started"
+        assert not any(t.is_alive() for t in started)
+        assert threading.enumerate() == before
+
+    def test_save(self, large, tmp_path, started):
+        models, _ = large
+        before = threading.enumerate()
+        save_models(tmp_path / "s.dlmc", models)
+        self.check_joined(before, started)
+
+    def test_load(self, large, started):
+        before = threading.enumerate()
+        load_models(large[1])
+        self.check_joined(before, started)
+
+    def test_load_of_a_corrupt_file(self, large, tmp_path, started):
+        raw = bytearray(large[1].read_bytes())
+        raw[20] ^= 0x40
+        bad = tmp_path / "bad.dlmc"
+        bad.write_bytes(bytes(raw))
+        before = threading.enumerate()
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_models(bad)
+        self.check_joined(before, started)
+
+    def test_save_whose_write_fails(self, large, tmp_path, monkeypatch, started):
+        models, _ = large
+        dest = tmp_path / "dest.dlmc"
+        dest.write_bytes(b"old contents")
+        real = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FailingFile(real(fd, mode)))
+        before = threading.enumerate()
+        with pytest.raises(OSError) as info:
+            save_models(dest, models)
+        assert info.value.errno == errno.ENOSPC
+        self.check_joined(before, started)
+        assert dest.read_bytes() == b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dest.dlmc"]
+
+    def test_no_thread_below_the_thresholds(self, bundle, tmp_path, started):
+        models, path = bundle
+        save_models(tmp_path / "small.dlmc", models)
+        load_models(path)
+        save_model(tmp_path / "small.delm", models.global_model)
+        load_model(tmp_path / "small.delm")
+        save_feature_matrix(tmp_path / "small.dlmf", np.ones((3, 4)))
+        load_feature_matrix(tmp_path / "small.dlmf")
+        write_atomic(tmp_path / "parts.bin", seal(part_list(fileio._SEAL_THREADED - 1)))
+        assert started == []
