@@ -33,7 +33,6 @@ from .datasets import (
     synth_generate,
 )
 from .elm import (
-    SIGMOID,
     HiddenLayerParams,
     ProcrustesResult,
     activate,
@@ -76,7 +75,6 @@ __all__ = [
     "ProcrustesResult",
     "ProtocolSpec",
     "RunReport",
-    "SIGMOID",
     "SetPrediction",
     "SynthParams",
     "TrainConfig",

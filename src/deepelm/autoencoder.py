@@ -10,8 +10,9 @@ of ridge regression. The final matrix decodes the last hidden
 representation back to input space; it is fitted against logit-transformed
 inputs so that the sigmoid applied after it reproduces the data.
 
-Reconstruction applies the activation after every layer, including the
-last, so outputs always land in (0, 1)^d. Training data must therefore be
+Every layer's activation is the sigmoid, ``deepelm.elm.activate``.
+Reconstruction applies it after every layer, including the last, so
+outputs always land in (0, 1)^d. Training data must therefore be
 normalized into [0, 1] first (see deepelm.normalize).
 """
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elm import (
-    SIGMOID,
     HiddenLayerParams,
     activate,
     hidden_response,
@@ -110,15 +110,14 @@ class DELMModel:
     normalization applied to the training data so probes can be mapped into
     the same range; it may be None for data trained in [0, 1] directly.
 
-    A stack of k models with one architecture and activation holds every
-    layer as one (k, dims[i+1], dims[i]) array; slice j of every layer is
-    model j. Reconstruction then runs all k models at once and returns one
-    result per model along a leading axis.
+    A stack of k models with one architecture holds every layer as one
+    (k, dims[i+1], dims[i]) array; slice j of every layer is model j.
+    Reconstruction then runs all k models at once and returns one result
+    per model along a leading axis.
     """
 
     weights: list[np.ndarray]
     dims: tuple[int, ...]
-    activation: str = SIGMOID
     feature_stats: NormalizationStats | None = None
 
     def __post_init__(self):
@@ -132,8 +131,6 @@ class DELMModel:
             )
         if self.dims[0] != self.dims[-1]:
             raise ValueError(f"model must close on its input space, dims {self.dims}")
-        if self.activation != SIGMOID:
-            raise ValueError(f"unsupported activation {self.activation!r}")
         stack = self.weights[0].shape[:-2]
         for i, W in enumerate(self.weights):
             expect = (*stack, self.dims[i + 1], self.dims[i])
@@ -185,7 +182,7 @@ def train_ae_layer(
     # so the layer never holds two (width, s) buffers.
     del H
     out = W @ X_in
-    return W, activate(mapping.activation, out, out=out)
+    return W, activate(out, out=out)
 
 
 def train_delm(
@@ -233,11 +230,7 @@ def train_delm(
     for i, spec in enumerate(specs):
         layer_init = None
         if init is not None:
-            layer_init = HiddenLayerParams(
-                W=init.weights[i],
-                b=np.zeros(spec.width),
-                activation=init.activation,
-            )
+            layer_init = HiddenLayerParams(W=init.weights[i], b=np.zeros(spec.width))
         W, H = train_ae_layer(H, spec, init=layer_init)
         weights.append(W)
 
@@ -251,10 +244,7 @@ def train_delm(
     weights.append(B_final.T)
 
     return DELMModel(
-        weights=weights,
-        dims=tuple([d, *widths, d]),
-        activation=SIGMOID,
-        feature_stats=feature_stats,
+        weights=weights, dims=tuple([d, *widths, d]), feature_stats=feature_stats
     )
 
 
@@ -285,7 +275,7 @@ def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:
     for i, W in enumerate(model.weights):
         shape = (*W.shape[:-1], s)
         out = buffers[i % 2][: math.prod(shape)].reshape(shape)
-        H = activate(model.activation, np.matmul(W, H, out=out), out=out)
+        H = activate(np.matmul(W, H, out=out), out=out)
     return H[..., 0] if vec else H
 
 

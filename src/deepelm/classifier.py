@@ -21,7 +21,7 @@ import numpy as np
 
 from .autoencoder import DELMModel, LayerSpec, reconstruction_error, train_delm
 from .datasets import Gallery, ImageSet, concat_features
-from .elm import SIGMOID
+from .elm import check_seed
 from .errors import ConfigError, DataError
 from .normalize import NormalizationStats, apply_stats
 
@@ -38,11 +38,11 @@ class TrainConfig:
     layer_widths: tuple[int, ...] = (20, 20)
     layer_C: tuple[float, ...] = (1e6, 1e6, 1e18)
     seed: int = 0
-    activation: str = SIGMOID
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
         object.__setattr__(self, "layer_C", tuple(self.layer_C))
+        object.__setattr__(self, "seed", check_seed(self.seed, ConfigError))
         if self.hidden_layers < 1:
             raise ConfigError(f"hidden_layers must be >= 1, got {self.hidden_layers}")
         if len(self.layer_widths) != self.hidden_layers:
@@ -58,8 +58,6 @@ class TrainConfig:
             raise ConfigError(f"layer widths must be >= 1, got {self.layer_widths}")
         if any(not (np.isfinite(C) and C > 0) for C in self.layer_C):
             raise ConfigError(f"C values must be positive and finite, got {self.layer_C}")
-        if self.activation != SIGMOID:
-            raise ConfigError(f"unsupported activation {self.activation!r}")
 
     def layer_specs(self) -> list[LayerSpec]:
         return [
@@ -139,9 +137,7 @@ class ClassModels:
             for layer, W in zip(stacks, model.weights):
                 layer[k] = W
             del model, W  # before the next lookup builds the next model
-        stack = DELMModel(
-            weights=stacks, dims=global_model.dims, activation=global_model.activation
-        )
+        stack = DELMModel(weights=stacks, dims=global_model.dims)
         return cls(global_model, labels, stack, config)
 
     @property

@@ -141,7 +141,6 @@ def _config_pairs(config: TrainConfig) -> list[tuple[str, object]]:
         ("hidden_layers", config.hidden_layers),
         ("widths", ",".join(str(w) for w in config.layer_widths)),
         ("C", ",".join(f"{c:g}" for c in config.layer_C)),
-        ("activation", config.activation),
     ]
 
 

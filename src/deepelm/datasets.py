@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .elm import check_seed
 from .errors import DataError
 from .fileio import f64_view, open_sealed, seal, unseal, write_atomic
 from .normalize import DEFAULT_EPSILON, NormalizationStats, apply_stats, compute_stats
@@ -280,8 +281,9 @@ class SynthParams:
         for name in ("classes", "sets_per_class", "samples_per_set", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.manifold not in MANIFOLDS:
             raise ValueError(f"manifold must be one of {MANIFOLDS}, got {self.manifold!r}")
 

@@ -1,10 +1,11 @@
 """Single-hidden-layer extreme learning machine primitives.
 
 An ELM fixes a random hidden-layer mapping and learns only the output
-weights, in closed form. This module provides the activation, the random
-orthonormal feature mapping, the two ridge-regression closed forms (primal
-for more samples than hidden units, dual otherwise), and the orthogonal
-Procrustes solver used when input and layer widths coincide.
+weights, in closed form. This module provides the activation (the
+sigmoid, the only one the models use), the random orthonormal feature
+mapping, the two ridge-regression closed forms (primal for more samples
+than hidden units, dual otherwise), and the orthogonal Procrustes solver
+used when input and layer widths coincide.
 
 All numerics run on NumPy: dense linear algebra on its LAPACK, and the
 sigmoid on its ufuncs. SciPy is not imported at run time: it ships its own
@@ -25,14 +26,14 @@ import numpy as np
 
 from .errors import NumericError
 
-SIGMOID = "sigmoid"
 
+def activate(u, out=None):
+    """The sigmoid 1 / (1 + exp(-u)) elementwise, of a scalar or array.
 
-def _sigmoid(u, out=None):
-    """1 / (1 + exp(-u)) elementwise, into out or else into one fresh buffer.
-
-    out may be u itself, which then holds the result; without out, u is
-    not modified. exp(-u) overflows to inf for u below about -709.8, and
+    The result goes into out when given, which may be u itself: the
+    forward passes activate each product in place. Without out it goes
+    into one fresh buffer, and u is left untouched. Either way the bits
+    are the same. exp(-u) overflows to inf for u below about -709.8, and
     the reciprocal then saturates to exactly 0; the overflow is expected
     and not warned about. A scalar gives a scalar.
     """
@@ -43,24 +44,6 @@ def _sigmoid(u, out=None):
     out += 1.0
     np.reciprocal(out, out=out)
     return out if out.ndim else out[()]
-
-
-_ACTIVATIONS = {SIGMOID: _sigmoid}
-
-
-def activate(kind: str, u, out=None):
-    """Apply the activation named by kind elementwise to a scalar or array.
-
-    The result goes into out when given, which may be u itself: the
-    forward passes activate each product in place. Without out, u is left
-    untouched. Either way the bits are the same. The sigmoid saturates to
-    exactly 0 or 1 for large |u| instead of overflowing.
-    """
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(u, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +58,6 @@ class HiddenLayerParams:
 
     W: np.ndarray
     b: np.ndarray
-    activation: str = SIGMOID
 
     def __post_init__(self):
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
@@ -90,6 +72,22 @@ class HiddenLayerParams:
     @property
     def input_dim(self) -> int:
         return self.W.shape[1]
+
+
+# Seeds go to NumPy's SeedSequence, which takes no negative value, and a
+# saved bundle stores the training seed as an int64.
+MAX_SEED = 2**63 - 1
+
+
+def check_seed(seed, error: type[Exception] = ValueError) -> int:
+    """seed as an int, or raise error unless it is an integer in [0, MAX_SEED].
+
+    Python and NumPy integers are accepted, bool is not.
+    """
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        if 0 <= seed <= MAX_SEED:
+            return int(seed)
+    raise error(f"seed must be an integer in [0, {MAX_SEED}], got {seed!r}")
 
 
 def random_orthonormal_mapping(d: int, n_h: int, seed) -> HiddenLayerParams:
@@ -132,7 +130,7 @@ def hidden_response(params: HiddenLayerParams, X: np.ndarray) -> np.ndarray:
         )
     H = params.W @ X
     H += params.b[:, None]
-    return activate(params.activation, H, out=H)
+    return activate(H, out=H)
 
 
 def _checked_ridge_inputs(H, T, C) -> tuple[np.ndarray, np.ndarray]:

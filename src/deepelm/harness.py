@@ -17,6 +17,7 @@ import numpy as np
 
 from .classifier import TrainConfig, classify_set, train_all
 from .datasets import Gallery, ImageSet, canonical_sets, normalize_gallery
+from .elm import check_seed
 from .errors import ConfigError
 from .normalize import NormalizationStats
 
@@ -42,6 +43,7 @@ class ProtocolSpec:
     max_samples_per_set: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed, ConfigError))
         if self.folds < 1:
             raise ConfigError(f"folds must be >= 1, got {self.folds}")
         if self.gallery_sets_per_class is not None and self.gallery_sets_per_class < 1:
@@ -347,7 +349,6 @@ def report_key_values(report: RunReport) -> str:
         ("config_layer_widths", ",".join(str(w) for w in cfg.layer_widths)),
         ("config_layer_c", ",".join(repr(float(c)) for c in cfg.layer_C)),
         ("config_seed", cfg.seed),
-        ("config_activation", cfg.activation),
     ]
     if report.protocol is not None:
         p = report.protocol
@@ -382,12 +383,11 @@ def report_text(report: RunReport) -> str:
     cfg = report.config
     lines = ["run report", "=========="]
     lines.append(
-        "config: hidden_layers={} widths={} C={} seed={} activation={}".format(
+        "config: hidden_layers={} widths={} C={} seed={}".format(
             cfg.hidden_layers,
             list(cfg.layer_widths),
             [float(c) for c in cfg.layer_C],
             cfg.seed,
-            cfg.activation,
         )
     )
     if report.protocol is not None:

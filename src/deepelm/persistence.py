@@ -2,7 +2,9 @@
 
 Single-model container ("DLMM", version 1): format version, activation
 tag, dims list, optional normalization stats, then each weight matrix as
-row-major float64 with an explicit (rows, cols) header.
+row-major float64 with an explicit (rows, cols) header. The tag, here and
+in a bundle's config, is always ``sigmoid``, the one activation the models
+use; a file with any other tag does not load.
 
 Bundle container ("DLMC"): the training config, the ordered class labels
 and the global model as a DLMM blob, which carries the feature stats.
@@ -54,6 +56,7 @@ BUNDLE_MAGIC = b"DLMC"
 MODEL_FORMAT_VERSION = 1
 BUNDLE_FORMAT_VERSION = 2
 BUNDLE_FORMAT_VERSIONS = (1, 2)
+ACTIVATION_TAG = "sigmoid"
 
 
 @contextmanager
@@ -63,6 +66,11 @@ def _decoding(source: str):
         yield
     except (ValueError, ConfigError) as exc:
         raise DataError(f"{source}: malformed contents: {exc}") from None
+
+
+def _check_activation(tag: str) -> None:
+    if tag != ACTIVATION_TAG:
+        raise ValueError(f"unsupported activation {tag!r}")
 
 
 def _array_parts(W: np.ndarray) -> list[Buffer]:
@@ -103,7 +111,7 @@ def pack_model(model: DELMModel) -> list[Buffer]:
     The weight parts alias the model's arrays; nothing is copied.
     """
     head = struct.pack("<4sI", MODEL_MAGIC, MODEL_FORMAT_VERSION)
-    head += pack_text(model.activation)
+    head += pack_text(ACTIVATION_TAG)
     head += struct.pack("<I", len(model.dims))
     head += struct.pack(f"<{len(model.dims)}I", *model.dims)
     parts = [head, *_stats_parts(model.feature_stats)]
@@ -121,16 +129,15 @@ def unpack_model(r: Reader) -> DELMModel:
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"{r.source}: unsupported model format version {version}")
     with _decoding(r.source):
-        activation = r.text()
+        tag = r.text()
         ndims = r.u32()
         dims = r.unpack(f"<{ndims}I")
         stats = _read_stats(r)
         nweights = r.u32()
         weights = [_read_array(r) for _ in range(nweights)]
         unseal(r)
-        return DELMModel(
-            weights=weights, dims=dims, activation=activation, feature_stats=stats
-        )
+        _check_activation(tag)
+        return DELMModel(weights=weights, dims=dims, feature_stats=stats)
 
 
 def save_model(path: str | Path, model: DELMModel) -> None:
@@ -147,7 +154,7 @@ def load_model(path: str | Path) -> DELMModel:
 
 def _pack_config(config: TrainConfig) -> bytes:
     out = struct.pack("<Iq", config.hidden_layers, config.seed)
-    out += pack_text(config.activation)
+    out += pack_text(ACTIVATION_TAG)
     out += struct.pack(f"<{config.hidden_layers}I", *config.layer_widths)
     out += struct.pack("<I", len(config.layer_C))
     out += struct.pack(f"<{len(config.layer_C)}d", *config.layer_C)
@@ -157,17 +164,13 @@ def _pack_config(config: TrainConfig) -> bytes:
 def _read_config(r: Reader) -> TrainConfig:
     h = r.u32()
     seed = r.i64()
-    activation = r.text()
+    tag = r.text()
     widths = r.unpack(f"<{h}I")
     ncs = r.u32()
     cs = r.unpack(f"<{ncs}d")
-    return TrainConfig(
-        hidden_layers=h,
-        layer_widths=widths,
-        layer_C=cs,
-        seed=seed,
-        activation=activation,
-    )
+    config = TrainConfig(hidden_layers=h, layer_widths=widths, layer_C=cs, seed=seed)
+    _check_activation(tag)
+    return config
 
 
 def save_models(path: str | Path, models: ClassModels) -> None:
@@ -211,7 +214,5 @@ def load_models(path: str | Path) -> ClassModels:
                 return ClassModels.from_models(global_model, per_class, config)
             stacks = [_read_array(r, 3) for _ in global_model.weights]
             unseal(r)
-            class_stack = DELMModel(
-                weights=stacks, dims=global_model.dims, activation=global_model.activation
-            )
+            class_stack = DELMModel(weights=stacks, dims=global_model.dims)
             return ClassModels(global_model, labels, class_stack, config)

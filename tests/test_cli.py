@@ -3,6 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from deepelm import ConfigError, ProtocolSpec, SynthParams, TrainConfig
 from deepelm.cli import main
 from deepelm.persistence import load_models
 
@@ -103,6 +104,63 @@ class TestTrain:
         assert code == 0
         banner = out.splitlines()[0]
         assert "seed=42" in banner and "widths=6,6" in banner and "hidden_layers=2" in banner
+
+
+class TestSeedAndNoiseSigma:
+    """Seeds outside [0, 2**63 - 1] and non-finite or negative noise sigmas
+    are config errors, rejected where the setting is constructed."""
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda seed: TrainConfig(seed=seed), ConfigError),
+            (lambda seed: ProtocolSpec(seed=seed), ConfigError),
+            (lambda seed: SynthParams(1, 1, 1, 1, seed=seed), ValueError),
+        ],
+        ids=["TrainConfig", "ProtocolSpec", "SynthParams"],
+    )
+    def test_seed_range(self, make, error):
+        for bad in (-1, 2**63, np.int64(-1), np.uint64(2**63), 1.0, True, "3"):
+            with pytest.raises(error, match="seed must be an integer"):
+                make(bad)
+        for good in (0, 2**63 - 1, np.int64(2**63 - 1), np.uint8(7)):
+            seed = make(good).seed
+            assert seed == good and type(seed) is int
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_noise_sigma_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthParams(1, 1, 1, 1, noise_sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "{gallery}", "--out", "{out}", "--seed", "-1"],
+            ["train", "{gallery}", "--out", "{out}", "--seed", str(2**63)],
+            ["eval", "{gallery}", "--out", "{out}", "--seed", "-2",
+             "--gallery-sets-per-class", "1"],
+            ["synth", "--out-dir", "{out}", "--seed", "-1"],
+            ["synth", "--out-dir", "{out}", "--noise-sigma", "nan"],
+            ["synth", "--out-dir", "{out}", "--noise-sigma", "inf"],
+        ],
+    )
+    def test_cli_exit_3_with_one_line(self, argv, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(gallery=synth_dir / "manifest.txt", out=out) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err or "noise_sigma" in err
+        assert not out.exists()
+
+    def test_largest_seed_trains_saves_and_loads(self, synth_dir, tmp_path, capsys):
+        path = tmp_path / "m.dlmc"
+        code, _, _ = run(
+            capsys, "train", str(synth_dir / "manifest.txt"), "--out", str(path),
+            "--width", "5", "--seed", str(2**63 - 1),
+        )
+        assert code == 0
+        assert load_models(path).config.seed == 2**63 - 1
 
 
 class TestClassify:

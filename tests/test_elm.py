@@ -11,7 +11,6 @@ import pytest
 from deepelm import (
     HiddenLayerParams,
     NumericError,
-    SIGMOID,
     activate,
     hidden_response,
     random_orthonormal_mapping,
@@ -40,55 +39,51 @@ def normal_equation_oracle(H, T, C):
 
 class TestActivation:
     def test_sigmoid_midpoint(self):
-        assert activate(SIGMOID, 0.0) == 0.5
+        assert activate(0.0) == 0.5
 
     def test_sigmoid_saturation(self):
-        assert abs(activate(SIGMOID, 50.0) - 1.0) <= 1e-15
-        assert abs(activate(SIGMOID, -50.0)) <= 1e-15
+        assert abs(activate(50.0) - 1.0) <= 1e-15
+        assert abs(activate(-50.0)) <= 1e-15
 
     def test_sigmoid_ln3(self):
         # 1 / (1 + exp(-ln 3)) = 3/4
-        assert activate(SIGMOID, math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
+        assert activate(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
 
     def test_sigmoid_monotone_into_unit_interval(self):
         u = np.linspace(-30, 30, 301)
-        g = activate(SIGMOID, u)
+        g = activate(u)
         assert np.all(np.diff(g) > 0)
         assert g.min() > 0.0 and g.max() < 1.0
 
     def test_elementwise_on_matrices(self):
         u = np.array([[0.0, math.log(3.0)], [-50.0, 50.0]])
-        g = activate(SIGMOID, u)
+        g = activate(u)
         assert g.shape == u.shape
         assert g[0, 0] == 0.5
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            activate("relu6", 0.0)
 
     @pytest.mark.parametrize("sigma", [1.0, 5.0, 30.0, 400.0])
     def test_sigmoid_within_4_ulp_of_expit(self, sigma):
         from scipy.special import expit
 
         u = np.random.default_rng(int(sigma)).normal(0.0, sigma, size=100_000)
-        np.testing.assert_array_max_ulp(activate(SIGMOID, u), expit(u), maxulp=4)
+        np.testing.assert_array_max_ulp(activate(u), expit(u), maxulp=4)
 
     def test_sigmoid_exact_at_saturation_without_warning(self):
         u = np.array([-800.0, 0.0, 800.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = activate(SIGMOID, u)
+            g = activate(u)
         assert g.tolist() == [0.0, 0.5, 1.0]
 
     def test_sigmoid_scalar_in_scalar_out(self):
-        g = activate(SIGMOID, 0.25)
+        g = activate(0.25)
         assert np.ndim(g) == 0 and isinstance(g, float)
-        assert isinstance(activate(SIGMOID, np.float64(2.0)), float)
+        assert isinstance(activate(np.float64(2.0)), float)
 
     def test_sigmoid_leaves_argument_unchanged(self):
         u = np.linspace(-5.0, 5.0, 11)
         before = u.copy()
-        g = activate(SIGMOID, u)
+        g = activate(u)
         assert g is not u and np.array_equal(u, before)
 
 

@@ -29,7 +29,7 @@ from deepelm import (
 )
 from deepelm.autoencoder import logit
 from deepelm.datasets import concat_features
-from deepelm.elm import SIGMOID, activate, hidden_response, random_orthonormal_mapping
+from deepelm.elm import activate, hidden_response, random_orthonormal_mapping
 
 
 def sigmoid_ref(u):
@@ -150,13 +150,13 @@ class TestOutArgument:
     def test_activate(self, shape, order):
         u = laid_out(np.random.default_rng(4).normal(scale=30.0, size=shape), order)
         before = u.copy()
-        fresh = activate(SIGMOID, u)
+        fresh = activate(u)
         assert np.array_equal(u, before)
         same_bits(fresh, sigmoid_ref(u))
         other = np.empty_like(u)
-        assert activate(SIGMOID, u, out=other) is other
+        assert activate(u, out=other) is other
         same_bits(other, fresh)
-        assert activate(SIGMOID, u, out=u) is u
+        assert activate(u, out=u) is u
         same_bits(u, fresh)
 
     def test_logit(self, shape, order):

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import make_blob_gallery, small_config
 from deepelm import (
-    SIGMOID,
     ClassModels,
     DELMModel,
     DataError,
@@ -52,7 +51,6 @@ V1_GALLERY = SynthParams(classes=2, sets_per_class=2, samples_per_set=6, feature
 
 def models_equal(a, b):
     assert a.dims == b.dims
-    assert a.activation == b.activation
     for Wa, Wb in zip(a.weights, b.weights, strict=True):
         assert Wa.shape == Wb.shape
         assert Wa.tobytes() == Wb.tobytes()
@@ -131,7 +129,7 @@ def model_blob(model: DELMModel) -> bytes:
 
 def retag(blob: bytes, activation: str) -> bytes:
     """A DLMM blob with its activation tag replaced, resealed."""
-    payload = unsealed(blob).replace(pack_text(SIGMOID), pack_text(activation), 1)
+    payload = unsealed(blob).replace(pack_text("sigmoid"), pack_text(activation), 1)
     return sealed(payload)
 
 
@@ -267,7 +265,7 @@ def oracle_sealed(payload: bytes) -> bytes:
 def oracle_model(model: DELMModel) -> bytes:
     """The DLMM bytes of model, from the format description alone."""
     n = len(model.dims)
-    out = struct.pack("<4sI", b"DLMM", 1) + oracle_text(model.activation)
+    out = struct.pack("<4sI", b"DLMM", 1) + oracle_text("sigmoid")
     out += struct.pack(f"<I{n}I", n, *model.dims)
     stats = model.feature_stats
     if stats is None:
@@ -285,7 +283,7 @@ def oracle_bundle(models) -> bytes:
     cfg = models.config
     n = len(cfg.layer_C)
     out = struct.pack("<4sI", b"DLMC", 2)
-    out += struct.pack("<Iq", cfg.hidden_layers, cfg.seed) + oracle_text(cfg.activation)
+    out += struct.pack("<Iq", cfg.hidden_layers, cfg.seed) + oracle_text("sigmoid")
     out += struct.pack(f"<{cfg.hidden_layers}I", *cfg.layer_widths)
     out += struct.pack(f"<I{n}d", n, *cfg.layer_C)
     out += struct.pack("<I", len(models.class_labels))
@@ -441,7 +439,7 @@ class TestMalformedContents:
         models, path = bundle
         payload = unsealed(path.read_bytes())
         config = _pack_config(models.config)
-        zero = struct.pack("<Iq", 0, models.config.seed) + pack_text(SIGMOID)
+        zero = struct.pack("<Iq", 0, models.config.seed) + pack_text("sigmoid")
         zero += struct.pack("<Id", 1, 1e18)
         bad = tmp_path / "h0.dlmc"
         bad.write_bytes(sealed(payload.replace(config, zero, 1)))
@@ -464,6 +462,38 @@ class TestMalformedContents:
         bad = tmp_path / "relu1.dlmc"
         bad.write_bytes(v1_bundle(models, blobs))
         self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
+
+    def test_unknown_config_activation(self, bundle, probe_manifest, tmp_path, capsys):
+        models, path = bundle
+        config = _pack_config(models.config)
+        relu = config.replace(pack_text("sigmoid"), pack_text("relu"), 1)
+        bad = tmp_path / "config_relu.dlmc"
+        bad.write_bytes(sealed(unsealed(path.read_bytes()).replace(config, relu, 1)))
+        self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
+
+    def test_checksum_reported_before_the_tag(self, bundle, tmp_path):
+        models, _ = bundle
+        blob = bytearray(retag(model_blob(models.global_model), "relu"))
+        blob[-5] ^= 0x01  # the last payload byte, in the decode weights
+        bad = tmp_path / "relu.dlmm"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_model(bad)
+        # nested in a bundle whose own CRC holds, only the model's CRC sees it
+        body = b"".join(part for W in models.class_stack.weights for part in _array_parts(W))
+        bad.write_bytes(bundle_bytes(
+            2, _pack_config(models.config), models.class_labels, bytes(blob), body,
+        ))
+        with pytest.raises(DataError, match=r"\[global\]: checksum mismatch"):
+            load_models(bad)
+
+    def test_negative_seed(self, bundle, probe_manifest, tmp_path, capsys):
+        models, path = bundle
+        config = _pack_config(models.config)
+        negative = struct.pack("<Iq", models.config.hidden_layers, -1) + config[12:]
+        bad = tmp_path / "seed.dlmc"
+        bad.write_bytes(sealed(unsealed(path.read_bytes()).replace(config, negative, 1)))
+        self.check(bad, probe_manifest[9], tmp_path, capsys, "seed")
 
     def test_unsorted_labels(self, bundle, probe_manifest, tmp_path, capsys):
         models, path = bundle
