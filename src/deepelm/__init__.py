@@ -16,7 +16,6 @@ from .classifier import (
     ClassModels,
     SetPrediction,
     TrainConfig,
-    classify_sample,
     classify_set,
     train_all,
     train_class_specific,
@@ -80,7 +79,6 @@ __all__ = [
     "TrainConfig",
     "activate",
     "apply_stats",
-    "classify_sample",
     "classify_set",
     "compute_stats",
     "hidden_response",

@@ -3,9 +3,10 @@
 Training learns one global auto-encoder over the whole gallery, then one
 model per class that keeps the global weights as its fixed feature
 mappings and re-solves every layer's output weights on that class's
-samples alone. A probe sample is assigned to the class whose model
-reconstructs it with the smallest squared error; a probe set takes the
-majority vote of its samples' labels.
+samples alone. classify_set labels a probe set: each sample goes to the
+class whose model reconstructs it with the smallest squared error, and
+the set takes the majority vote of its samples' labels. A single sample
+is classified as a one-column set.
 
 Tie rules (both deterministic): a per-sample error tie goes to the label
 that sorts first; a vote tie goes to the tied label with the smallest
@@ -250,33 +251,9 @@ def _same_stats(a: NormalizationStats | None, b: NormalizationStats | None) -> b
         a is not None
         and b is not None
         and a.epsilon == b.epsilon
-        and a.per_dimension == b.per_dimension
         and a.lo.tobytes() == b.lo.tobytes()
         and a.hi.tobytes() == b.hi.tobytes()
     )
-
-
-def _probe_matrix(models: ClassModels, X: np.ndarray) -> np.ndarray:
-    """Map raw probe features into the training range of the models."""
-    stats = models.feature_stats
-    return X if stats is None else apply_stats(X, stats)
-
-
-def classify_sample(x: np.ndarray, models: ClassModels) -> tuple[str, np.ndarray]:
-    """Label one raw feature vector by minimum reconstruction error.
-
-    Returns (label, errors) with one error per class in sorted label order;
-    ties go to the first label in that order. The errors are those of a
-    one-sample classify_set.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != models.feature_dim:
-        raise ValueError(
-            f"probe of shape {x.shape} incompatible with model dimension {models.feature_dim}"
-        )
-    xn = _probe_matrix(models, x[:, None])
-    errors = reconstruction_error(models.class_stack, xn)[:, 0]
-    return models.class_labels[int(np.argmin(errors))], errors
 
 
 def classify_set(probe: ImageSet, models: ClassModels) -> SetPrediction:
@@ -288,7 +265,8 @@ def classify_set(probe: ImageSet, models: ClassModels) -> SetPrediction:
             f"models expect {models.feature_dim}"
         )
     labels = models.class_labels
-    Xn = _probe_matrix(models, X)
+    stats = models.feature_stats
+    Xn = X if stats is None else apply_stats(X, stats)
     errors = np.ascontiguousarray(reconstruction_error(models.class_stack, Xn).T)
     winner_idx = errors.argmin(axis=1)
     per_sample_labels = tuple(labels[i] for i in winner_idx.tolist())

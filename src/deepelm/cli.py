@@ -144,9 +144,17 @@ def _config_pairs(config: TrainConfig) -> list[tuple[str, object]]:
     ]
 
 
+def _check_out_dir(out: str) -> None:
+    """Raise DataError unless the directory that out goes into exists."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise DataError(f"output directory not found: {parent}")
+
+
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     _banner("train", [("manifest", args.manifest), ("out", args.out)] + _config_pairs(config))
+    _check_out_dir(args.out)
     gallery = load_gallery(args.manifest)
     norm, stats = normalize_gallery(gallery)
     t0 = time.perf_counter()
@@ -163,6 +171,7 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     _banner("classify", [("model", args.model), ("probes", args.probes), ("out", args.out)])
+    _check_out_dir(args.out)
     models = load_models(args.model)
     probes = load_image_sets(args.probes)
     d = probes[0].feature_dim
@@ -243,6 +252,7 @@ def cmd_eval(args) -> int:
          ("noise_mode", spec.noise_mode), ("nr", spec.max_samples_per_set)]
         + _config_pairs(config),
     )
+    _check_out_dir(args.out)
     gallery = load_gallery(args.manifest)
     report = run_kfold(gallery, spec, config)
     out = Path(args.out)

@@ -31,7 +31,7 @@ import numpy as np
 from .elm import check_seed
 from .errors import DataError
 from .fileio import f64_view, open_sealed, seal, unseal, write_atomic
-from .normalize import DEFAULT_EPSILON, NormalizationStats, apply_stats, compute_stats
+from .normalize import NormalizationStats, apply_stats, compute_stats
 
 FEATURE_MAGIC = b"DLMF"
 FEATURE_FORMAT_VERSION = 1
@@ -118,14 +118,9 @@ def concat_features(sets) -> np.ndarray:
     return np.hstack([s.features for s in canonical_sets(sets)])
 
 
-def normalize_gallery(
-    gallery: Gallery,
-    stats: NormalizationStats | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> tuple[Gallery, NormalizationStats]:
+def normalize_gallery(gallery: Gallery) -> tuple[Gallery, NormalizationStats]:
     """Normalize every set with shared stats computed over the whole gallery."""
-    if stats is None:
-        stats = compute_stats(concat_features(gallery.sets), epsilon=epsilon)
+    stats = compute_stats(concat_features(gallery.sets))
     mapped = [
         ImageSet(apply_stats(s.features, stats), s.label, s.set_id)
         for s in gallery.sets
@@ -223,9 +218,7 @@ def load_gallery(manifest_path: str | Path) -> Gallery:
     return Gallery(sets)
 
 
-def save_gallery(
-    gallery_sets, out_dir: str | Path, feature_dim: int | None = None
-) -> Path:
+def save_gallery(gallery_sets, out_dir: str | Path) -> Path:
     """Write feature files plus a manifest; returns the manifest path.
 
     Every set is checked before any file is written: its set_id must be
@@ -237,7 +230,7 @@ def save_gallery(
     sets = canonical_sets(gallery_sets)
     if not sets:
         raise DataError("refusing to save an empty gallery")
-    d = feature_dim if feature_dim is not None else sets[0].feature_dim
+    d = sets[0].feature_dim
     for s in sets:
         if not _ID_RE.match(s.set_id):
             raise DataError(f"set_id '{s.set_id}' is not filename-safe")
@@ -286,6 +279,10 @@ class SynthParams:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.manifold not in MANIFOLDS:
             raise ValueError(f"manifold must be one of {MANIFOLDS}, got {self.manifold!r}")
+        if self.manifold == SINUSOIDAL_MANIFOLD and self.feature_dim < 2:
+            raise ValueError(
+                f"the sinusoidal manifold needs feature_dim >= 2, got {self.feature_dim}"
+            )
 
 
 # Curve half-extents for the sinusoidal manifold, in feature space units.
@@ -390,7 +387,5 @@ def _min_pairwise_distance(points: np.ndarray) -> float:
 
 
 def _orthonormal_pair(rng, d: int) -> np.ndarray:
-    if d < 2:
-        raise ValueError("sinusoidal manifold needs feature_dim >= 2")
     Q, _ = np.linalg.qr(rng.normal(size=(d, 2)))
     return Q.T

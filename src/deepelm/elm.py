@@ -66,10 +66,6 @@ class HiddenLayerParams:
             )
 
     @property
-    def n_hidden(self) -> int:
-        return self.W.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.W.shape[1]
 

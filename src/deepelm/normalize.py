@@ -1,10 +1,12 @@
 """Min-max feature normalization into the open sigmoid range.
 
 Deep models reconstruct through a final sigmoid, so training features must
-live strictly inside (0, 1). Features are mapped affinely per dimension
-into [epsilon, 1 - epsilon]; probe-time values outside the training range
-clamp to that interval. The stats computed at training time travel with
-the trained model and are reused verbatim for probes.
+live strictly inside (0, 1). Each feature dimension is mapped affinely,
+from its own training minimum and maximum, into [epsilon, 1 - epsilon]
+with epsilon = DEFAULT_EPSILON; probe-time values outside the training
+range clamp to that interval. The stats computed at training time, their
+epsilon included, travel with the trained model and are reused verbatim
+for probes.
 """
 
 from __future__ import annotations
@@ -18,16 +20,11 @@ DEFAULT_EPSILON = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class NormalizationStats:
-    """Per-dimension minima/maxima and the clamping epsilon.
-
-    When per_dimension is False, lo and hi hold one global value broadcast
-    over all dimensions.
-    """
+    """Per-dimension minima/maxima and the clamping epsilon."""
 
     lo: np.ndarray
     hi: np.ndarray
     epsilon: float = DEFAULT_EPSILON
-    per_dimension: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
@@ -44,20 +41,14 @@ class NormalizationStats:
         return self.lo.shape[0]
 
 
-def compute_stats(
-    X: np.ndarray,
-    epsilon: float = DEFAULT_EPSILON,
-    per_dimension: bool = True,
-) -> NormalizationStats:
-    """Extract min-max stats from a (d, s) feature matrix."""
-    X = _checked(X)
-    if per_dimension:
-        lo, hi = X.min(axis=1), X.max(axis=1)
-    else:
-        d = X.shape[0]
-        lo = np.full(d, X.min())
-        hi = np.full(d, X.max())
-    return NormalizationStats(lo=lo, hi=hi, epsilon=epsilon, per_dimension=per_dimension)
+def compute_stats(X: np.ndarray) -> NormalizationStats:
+    """Extract per-dimension min-max stats from a (d, s) feature matrix."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError(f"expected a (d, s) feature matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix contains non-finite entries")
+    return NormalizationStats(lo=X.min(axis=1), hi=X.max(axis=1))
 
 
 def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -94,27 +85,12 @@ def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return out[:, 0] if vec else out
 
 
-def normalize_features(
-    X: np.ndarray,
-    stats: NormalizationStats | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    per_dimension: bool = True,
-) -> tuple[np.ndarray, NormalizationStats]:
-    """Normalize a feature matrix, computing stats from it when none given.
+def normalize_features(X: np.ndarray) -> tuple[np.ndarray, NormalizationStats]:
+    """Normalize a feature matrix with stats computed from it.
 
-    Returns the mapped matrix and the stats used, so callers can persist
-    them for probe time.
+    Returns the mapped matrix and the stats, so callers can persist them
+    for probe time.
     """
-    X = _checked(X)
-    if stats is None:
-        stats = compute_stats(X, epsilon=epsilon, per_dimension=per_dimension)
+    stats = compute_stats(X)
     return apply_stats(X, stats), stats
 
-
-def _checked(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise ValueError(f"expected a (d, s) feature matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("feature matrix contains non-finite entries")
-    return X

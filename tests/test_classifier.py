@@ -14,7 +14,6 @@ from deepelm import (
     ImageSet,
     SynthParams,
     TrainConfig,
-    classify_sample,
     classify_set,
     normalize_gallery,
     reconstruction_error,
@@ -196,11 +195,18 @@ class TestTrainAll:
 
 
 class TestClassifySample:
+    """A single sample is classified as a one-column set."""
+
+    @staticmethod
+    def classify_one(x, models):
+        pred = classify_set(ImageSet(np.asarray(x)[:, None], None, "x"), models)
+        return pred.set_label, pred.per_sample_errors[0]
+
     def test_zero_error_model_wins(self):
         d = 6
         models = constant_models(d, {"a": 0.2, "b": 0.7, "c": 0.4})
         x = np.full(d, 0.7)
-        label, errors = classify_sample(x, models)
+        label, errors = self.classify_one(x, models)
         assert label == "b"
         assert errors[1] == pytest.approx(0.0, abs=1e-20)
         assert errors[0] > 0 and errors[2] > 0
@@ -211,7 +217,7 @@ class TestClassifySample:
         models = ClassModels.from_models(
             shared, {"beta": shared, "alpha": shared}, small_config(widths=(3,))
         )
-        label, errors = classify_sample(np.full(d, 0.3), models)
+        label, errors = self.classify_one(np.full(d, 0.3), models)
         assert label == "alpha"
         assert errors[0] == errors[1]
 
@@ -219,7 +225,7 @@ class TestClassifySample:
         gallery, models = trained_blob
         for s in gallery.sets:
             for j in range(s.n_samples):
-                label, errors = classify_sample(s.features[:, j], models)
+                label, errors = self.classify_one(s.features[:, j], models)
                 assert label == s.label
                 own = models.class_labels.index(s.label)
                 others = np.delete(errors, own)
@@ -227,8 +233,8 @@ class TestClassifySample:
 
     def test_dim_mismatch_rejected(self, trained_blob):
         _, models = trained_blob
-        with pytest.raises(ValueError, match="incompatible"):
-            classify_sample(np.zeros(models.feature_dim + 1), models)
+        with pytest.raises(ValueError, match="has dimension .*, models expect"):
+            self.classify_one(np.zeros(models.feature_dim + 1), models)
 
 
 class TestClassifySet:
@@ -325,15 +331,6 @@ class TestStackedInference:
             loop = np.column_stack([reconstruction_error(m, Xn) for m in per_class])
             assert pred.per_sample_errors.shape == loop.shape
             assert pred.per_sample_errors.tobytes() == loop.tobytes()
-
-    def test_sample_equals_one_column_set(self, five_classes):
-        gallery, _, _, models = five_classes
-        for s in gallery.sets[::3]:
-            for j in range(0, s.n_samples, 3):
-                label, errors = classify_sample(s.features[:, j], models)
-                pred = classify_set(ImageSet(s.features[:, j:j + 1], None, "p"), models)
-                assert errors.tobytes() == pred.per_sample_errors[0].tobytes()
-                assert (label,) == pred.per_sample_labels and label == pred.set_label
 
     def test_stats_held_once(self, five_classes):
         _, _, _, models = five_classes

@@ -3,7 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from deepelm import ConfigError, ProtocolSpec, SynthParams, TrainConfig
+from deepelm import ConfigError, ProtocolSpec, SynthParams, TrainConfig, cli
 from deepelm.cli import main
 from deepelm.persistence import load_models
 
@@ -51,6 +51,15 @@ class TestSynth:
                            "--classes", "0")
         assert code == 3
         assert "classes" in err
+
+    def test_sinusoid_in_one_dimension_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        code, _, err = run(capsys, "synth", "--out-dir", str(out),
+                           "--manifold", "sinusoid", "--dim", "1")
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "feature_dim >= 2" in err
+        assert not out.exists()
 
     def test_unwritable_out_dir_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -104,6 +113,35 @@ class TestTrain:
         assert code == 0
         banner = out.splitlines()[0]
         assert "seed=42" in banner and "widths=6,6" in banner and "hidden_layers=2" in banner
+
+
+class TestMissingOutputDirectory:
+    """train, classify and eval check that the directory of --out exists
+    before they load, train or write anything."""
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the output directory was checked")
+
+        for name in ("load_gallery", "load_image_sets", "load_models", "train_all", "run_kfold"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize("command", ["train", "classify", "eval"])
+    def test_exit_2_before_any_work(self, command, synth_dir, tmp_path, capsys, no_work):
+        manifest, missing = str(synth_dir / "manifest.txt"), tmp_path / "missing"
+        argv = {
+            "train": ["train", manifest, "--out", str(missing / "m.dlmc")],
+            "classify": ["classify", "--model", str(tmp_path / "m.dlmc"),
+                         "--probes", manifest, "--out", str(missing / "r.tsv")],
+            "eval": ["eval", manifest, "--out", str(missing / "r.txt")],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: output directory not found: {missing}\n"
+        assert out.count("\n") == 1  # the banner alone
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestSeedAndNoiseSigma:

@@ -83,13 +83,6 @@ class TestNormalization:
         v = rng.normal(size=4)
         assert np.array_equal(apply_stats(v, stats), apply_stats(v[:, None], stats)[:, 0])
 
-    def test_global_mode_uses_one_range(self):
-        X = np.array([[0.0, 1.0], [10.0, 20.0]])
-        out, stats = normalize_features(X, per_dimension=False)
-        assert not stats.per_dimension
-        assert np.all(stats.lo == 0.0) and np.all(stats.hi == 20.0)
-        assert out[1, 1] == pytest.approx(1 - stats.epsilon)
-
     def test_stats_dimension_checked(self):
         _, stats = normalize_features(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dimension"):
@@ -173,6 +166,13 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             SynthParams(classes=1, sets_per_class=1, samples_per_set=1,
                         feature_dim=2, manifold="torus")
+
+    def test_sinusoid_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="feature_dim >= 2"):
+            SynthParams(classes=1, sets_per_class=1, samples_per_set=1,
+                        feature_dim=1, manifold="sinusoid")
+        one = SynthParams(classes=2, sets_per_class=1, samples_per_set=3, feature_dim=1)
+        assert synth_generate(one).feature_dim == 1
 
 
 class TestFeatureFiles:

@@ -19,7 +19,6 @@ from deepelm import (
     ClassModels,
     DELMModel,
     ImageSet,
-    classify_sample,
     classify_set,
     normalize_gallery,
     reconstruct,
@@ -137,9 +136,9 @@ def test_classify_matches_oracle(trained, order):
     pred = classify_set(ImageSet(X, None, "probe"), models)
     same_bits(pred.per_sample_errors, np.ascontiguousarray(want.T))
     # a lone sample takes a matrix-vector product, with bits of its own
-    _, errors = classify_sample(X[:, 5], models)
+    lone = classify_set(ImageSet(X[:, 5:6], None, "lone"), models)
     one = apply_stats_ref(X[:, 5:6], models.feature_stats)
-    same_bits(errors, reconstruction_error_ref(models.class_stack, one)[:, 0])
+    same_bits(lone.per_sample_errors[0], reconstruction_error_ref(models.class_stack, one)[:, 0])
     assert np.array_equal(X, before)
 
 

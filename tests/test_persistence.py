@@ -61,7 +61,6 @@ def models_equal(a, b):
         assert a.feature_stats.lo.tobytes() == b.feature_stats.lo.tobytes()
         assert a.feature_stats.hi.tobytes() == b.feature_stats.hi.tobytes()
         assert a.feature_stats.epsilon == b.feature_stats.epsilon
-        assert a.feature_stats.per_dimension == b.feature_stats.per_dimension
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +146,22 @@ def v1_bundle(models, class_blobs=None) -> bytes:
     return bundle_bytes(
         1, _pack_config(models.config), models.class_labels, model_blob(models.global_model), body
     )
+
+
+def with_global(models, global_blob: bytes) -> bytes:
+    """The version-2 bundle of models with global_blob as its global model."""
+    body = b"".join(part for W in models.class_stack.weights for part in _array_parts(W))
+    return bundle_bytes(2, _pack_config(models.config), models.class_labels, global_blob, body)
+
+
+def with_stats_flags(model: DELMModel, present: int, per_dimension: int) -> bytes:
+    """The DLMM blob of model, which has stats, with its two stats flag
+    bytes set as given, resealed."""
+    payload = bytearray(unsealed(model_blob(model)))
+    at = 8 + len(pack_text("sigmoid")) + 4 + 4 * len(model.dims)
+    assert payload[at:at + 2] == b"\x01\x01"
+    payload[at:at + 2] = bytes([present, per_dimension])
+    return sealed(bytes(payload))
 
 
 def classify_exit(model_path, manifest, tmp_path, capsys) -> int:
@@ -271,7 +286,7 @@ def oracle_model(model: DELMModel) -> bytes:
     if stats is None:
         out += b"\0"
     else:
-        out += struct.pack("<BBdI", 1, int(stats.per_dimension), stats.epsilon, stats.dim)
+        out += struct.pack("<BBdI", 1, 1, stats.epsilon, stats.dim)
         out += stats.lo.astype("<f8").tobytes() + stats.hi.astype("<f8").tobytes()
     out += struct.pack("<I", len(model.weights))
     out += b"".join(oracle_array(W) for W in model.weights)
@@ -447,12 +462,8 @@ class TestMalformedContents:
 
     def test_unknown_global_activation(self, bundle, probe_manifest, tmp_path, capsys):
         models, _ = bundle
-        body = b"".join(part for W in models.class_stack.weights for part in _array_parts(W))
         bad = tmp_path / "relu.dlmc"
-        bad.write_bytes(bundle_bytes(
-            2, _pack_config(models.config), models.class_labels,
-            retag(model_blob(models.global_model), "relu"), body,
-        ))
+        bad.write_bytes(with_global(models, retag(model_blob(models.global_model), "relu")))
         self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
 
     def test_unknown_class_activation_in_version_1(self, bundle, probe_manifest, tmp_path, capsys):
@@ -480,10 +491,49 @@ class TestMalformedContents:
         with pytest.raises(DataError, match="checksum mismatch"):
             load_model(bad)
         # nested in a bundle whose own CRC holds, only the model's CRC sees it
-        body = b"".join(part for W in models.class_stack.weights for part in _array_parts(W))
-        bad.write_bytes(bundle_bytes(
-            2, _pack_config(models.config), models.class_labels, bytes(blob), body,
-        ))
+        bad.write_bytes(with_global(models, bytes(blob)))
+        with pytest.raises(DataError, match=r"\[global\]: checksum mismatch"):
+            load_models(bad)
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [((2, 1), "stats presence flag 2"), ((1, 2), "stats per-dimension flag 2")],
+        ids=["presence", "per-dimension"],
+    )
+    def test_bad_stats_flag(self, flags, match, bundle, probe_manifest, tmp_path, capsys):
+        models, _ = bundle
+        blob = with_stats_flags(models.global_model, *flags)
+        bad = tmp_path / "flags.dlmm"
+        bad.write_bytes(blob)
+        with pytest.raises(DataError, match=match):
+            load_model(bad)
+        bad = tmp_path / "flags.dlmc"
+        bad.write_bytes(with_global(models, blob))
+        self.check(bad, probe_manifest[9], tmp_path, capsys, match)
+
+    def test_per_dimension_flag_0_loads_the_same_stats(self, bundle, tmp_path):
+        # A 0 marked one global range, whose lo and hi were full length
+        # too; it loads as a 1 does, and a resave writes 1.
+        models, _ = bundle
+        path = tmp_path / "global0.dlmm"
+        path.write_bytes(with_stats_flags(models.global_model, 1, 0))
+        loaded = load_model(path)
+        models_equal(loaded, models.global_model)
+        save_model(path, loaded)
+        assert path.read_bytes() == model_blob(models.global_model)
+        path = tmp_path / "global0.dlmc"
+        path.write_bytes(with_global(models, with_stats_flags(models.global_model, 1, 0)))
+        models_equal(load_models(path).global_model, models.global_model)
+
+    def test_checksum_reported_before_a_bad_stats_flag(self, bundle, tmp_path):
+        models, _ = bundle
+        blob = bytearray(with_stats_flags(models.global_model, 7, 7))
+        blob[-5] ^= 0x01  # the last payload byte, in the decode weights
+        bad = tmp_path / "flags.dlmm"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_model(bad)
+        bad.write_bytes(with_global(models, bytes(blob)))
         with pytest.raises(DataError, match=r"\[global\]: checksum mismatch"):
             load_models(bad)
 
