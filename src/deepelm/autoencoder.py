@@ -19,12 +19,12 @@ normalized into [0, 1] first (see deepelm.normalize).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elm import (
-    HiddenLayerParams,
     activate,
     hidden_response,
     random_orthonormal_mapping,
@@ -131,6 +131,9 @@ class DELMModel:
             )
         if self.dims[0] != self.dims[-1]:
             raise ValueError(f"model must close on its input space, dims {self.dims}")
+        stats = self.feature_stats
+        if stats is not None and stats.dim != self.dims[0]:
+            raise ValueError(f"feature stats of dimension {stats.dim}, model of {self.dims[0]}")
         stack = self.weights[0].shape[:-2]
         for i, W in enumerate(self.weights):
             expect = (*stack, self.dims[i + 1], self.dims[i])
@@ -148,36 +151,51 @@ class DELMModel:
         return len(self.weights) - 1
 
 
-def train_ae_layer(
-    X_in: np.ndarray, spec: LayerSpec, init: HiddenLayerParams | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _checked_training_data(X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"expected a non-empty (d, s) matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("training features contain non-finite entries")
+    if X.min() < 0.0 or X.max() > 1.0:
+        raise ValueError(
+            "training features must lie in [0, 1]; normalize them first "
+            "(see deepelm.normalize.normalize_features)"
+        )
+    return X
+
+
+def _solve_layer(H: np.ndarray, X_in: np.ndarray, C: float) -> np.ndarray:
+    """Output weights projecting the responses H back onto X_in. A layer
+    as wide as its input keeps the data in one space: they are orthogonal."""
+    if H.shape[0] == X_in.shape[0]:
+        return solve_orthogonal_procrustes(H.T, X_in.T).B
+    return solve_ridge(H.T, X_in.T, C)
+
+
+def _solve_decode(X, H, final_C: float, stats: NormalizationStats | None) -> np.ndarray:
+    """Decode weights fitting logit-clamped X from H, so that the outer
+    sigmoid lands back on X. The logit is taken in the clip's own buffer."""
+    eps = stats.epsilon if stats is not None else DEFAULT_EPSILON
+    targets = np.clip(X, eps, 1.0 - eps)
+    logit(targets, out=targets)
+    return solve_ridge(H.T, targets.T, final_C).T
+
+
+def train_ae_layer(X_in: np.ndarray, spec: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
     """Train one auto-encoder layer on the (d_in, s) representation X_in.
 
-    The pre-solve feature mapping is random orthonormal, or `init` when
-    given (fixed weights, no bias). The output weights that project the
-    mapped responses back onto X_in are solved in closed form and reused,
-    in column-operator form, as the layer's forward weights W of shape
-    (spec.width, d_in). Returns (W, g(W @ X_in)).
+    The pre-solve feature mapping is random orthonormal. The output
+    weights that project the mapped responses back onto X_in are solved in
+    closed form and reused, in column-operator form, as the layer's forward
+    weights W of shape (spec.width, d_in). Returns (W, g(W @ X_in)).
     """
     X_in = np.asarray(X_in, dtype=float)
     if X_in.ndim != 2:
         raise ValueError(f"expected (d, s) input, got shape {X_in.shape}")
-    d_in = X_in.shape[0]
-    if init is None:
-        mapping = random_orthonormal_mapping(d_in, spec.width, spec.seed)
-    else:
-        if init.W.shape != (spec.width, d_in):
-            raise ValueError(
-                f"init mapping shape {init.W.shape} does not match layer ({spec.width}, {d_in})"
-            )
-        mapping = init
+    mapping = random_orthonormal_mapping(X_in.shape[0], spec.width, spec.seed)
     H = hidden_response(mapping, X_in)
-    if spec.width == d_in:
-        # Same-dimension layer: the data stays in one space, so impose
-        # orthogonality on the solved weights.
-        W = solve_orthogonal_procrustes(H.T, X_in.T).B
-    else:
-        W = solve_ridge(H.T, X_in.T, spec.C)
+    W = _solve_layer(H, X_in, spec.C)
     # Drop the hidden response before the forward product takes its place,
     # so the layer never holds two (width, s) buffers.
     del H
@@ -189,63 +207,51 @@ def train_delm(
     X: np.ndarray,
     specs: list[LayerSpec],
     final_C: float,
-    init: DELMModel | None = None,
     feature_stats: NormalizationStats | None = None,
 ) -> DELMModel:
     """Train a deep auto-encoder with one layer per spec plus a decode layer.
 
     X is (d, s) with entries in [0, 1]. Layers are trained sequentially,
-    each on the forward representation of the previous one. When `init` is
-    given, its layer weights replace the random mappings (with zero bias)
-    and every layer's output weights are re-solved on X; architecture and
-    feature stats are inherited from it. The final weight matrix is a ridge
-    fit of logit-clamped X from the last hidden representation, so the
-    closing sigmoid reproduces the inputs. specs may be empty, giving the
-    degenerate single-matrix model.
+    each on the forward representation of the previous one. The final
+    weight matrix is a ridge fit of logit-clamped X from the last hidden
+    representation, so the closing sigmoid reproduces the inputs. specs
+    may be empty, giving the degenerate single-matrix model.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError(f"expected a non-empty (d, s) matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("training features contain non-finite entries")
-    if X.min() < 0.0 or X.max() > 1.0:
-        raise ValueError(
-            "training features must lie in [0, 1]; normalize them first "
-            "(see deepelm.normalize.normalize_features)"
-        )
+    X = _checked_training_data(X)
     if not (np.isfinite(final_C) and final_C > 0):
         raise ValueError(f"final_C must be positive and finite, got {final_C}")
-    d = X.shape[0]
-    widths = [spec.width for spec in specs]
-    if init is not None:
-        if init.dims != tuple([d, *widths, d]):
-            raise ValueError(
-                f"init model dims {init.dims} do not match requested {[d, *widths, d]}"
-            )
-        if feature_stats is None:
-            feature_stats = init.feature_stats
-
     weights: list[np.ndarray] = []
     H = X
-    for i, spec in enumerate(specs):
-        layer_init = None
-        if init is not None:
-            layer_init = HiddenLayerParams(W=init.weights[i], b=np.zeros(spec.width))
-        W, H = train_ae_layer(H, spec, init=layer_init)
+    for spec in specs:
+        W, H = train_ae_layer(H, spec)
         weights.append(W)
+    weights.append(_solve_decode(X, H, final_C, feature_stats))
+    d = X.shape[0]
+    dims = (d, *(spec.width for spec in specs), d)
+    return DELMModel(weights=weights, dims=dims, feature_stats=feature_stats)
 
-    # Decode layer: fit the logit of the inputs from the last representation
-    # so that the outer sigmoid lands back on X. The logit is taken in the
-    # clip's own buffer.
-    eps = feature_stats.epsilon if feature_stats is not None else DEFAULT_EPSILON
-    targets = np.clip(X, eps, 1.0 - eps)
-    logit(targets, out=targets)
-    B_final = solve_ridge(H.T, targets.T, final_C)
-    weights.append(B_final.T)
 
-    return DELMModel(
-        weights=weights, dims=tuple([d, *widths, d]), feature_stats=feature_stats
-    )
+def refit_delm(model: DELMModel, X: np.ndarray, layer_C: Sequence[float]) -> list[np.ndarray]:
+    """Re-solve every layer's output weights of model on the (d, s) data X.
+
+    This trains a class model from the global one. Layer i keeps
+    model.weights[i], with no bias, as its fixed feature mapping, and is
+    solved as train_delm solves it, with tradeoff layer_C[i]; layer_C has
+    one entry per layer and X the model's input dimension. Returns the new
+    weights, one array per layer.
+    """
+    X = _checked_training_data(X)
+    weights: list[np.ndarray] = []
+    H = X
+    for G, C in zip(model.weights[:-1], layer_C):
+        R = G @ H
+        W = _solve_layer(activate(R, out=R), H, C)
+        del R
+        out = W @ H
+        H = activate(out, out=out)
+        weights.append(W)
+    weights.append(_solve_decode(X, H, layer_C[-1], model.feature_stats))
+    return weights
 
 
 def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Training learns one global auto-encoder over the whole gallery, then one
 model per class that keeps the global weights as its fixed feature
 mappings and re-solves every layer's output weights on that class's
-samples alone. classify_set labels a probe set: each sample goes to the
+samples alone; train_all writes each class's weights straight into the
+class stack. classify_set labels a probe set: each sample goes to the
 class whose model reconstructs it with the smallest squared error, and
 the set takes the majority vote of its samples' labels. A single sample
 is classified as a one-column set.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import DELMModel, LayerSpec, reconstruction_error, train_delm
+from .autoencoder import DELMModel, LayerSpec, reconstruction_error, refit_delm, train_delm
 from .datasets import Gallery, ImageSet, concat_features
 from .elm import check_seed
 from .errors import ConfigError, DataError
@@ -190,12 +191,15 @@ def train_class_specific(
     global_model: DELMModel, class_set: ImageSet, config: TrainConfig
 ) -> DELMModel:
     """Refit every layer's output weights on one class, keeping the global
-    layer weights as the fixed feature mappings."""
-    return train_delm(
-        class_set.features,
-        config.layer_specs(),
-        final_C=config.final_C,
-        init=global_model,
+    layer weights as the fixed feature mappings (see refit_delm). The
+    class model carries the global model's feature stats."""
+    d = class_set.feature_dim
+    if global_model.dims != (d, *config.layer_widths, d):
+        raise ValueError(f"global model dims {global_model.dims} do not fit the data and config")
+    return DELMModel(
+        weights=refit_delm(global_model, class_set.features, config.layer_C),
+        dims=global_model.dims,
+        feature_stats=global_model.feature_stats,
     )
 
 
@@ -206,8 +210,9 @@ def train_all(
 ) -> ClassModels:
     """Train the global model, then one independent model per class.
 
-    Each class model is trained in label order and copied into the class
-    stack before the next one is trained.
+    The class stack is allocated once. Each class, in label order, is
+    refitted from the global model on its concatenated sets, and its
+    weights are copied into the stack before the next class is refitted.
     """
     labels = gallery.classes
     if len(labels) < 2:
@@ -215,33 +220,16 @@ def train_all(
             f"classification needs at least 2 classes, gallery has {len(labels)}"
         )
     global_model = train_global(gallery, config, feature_stats=feature_stats)
-    per_class = _ClassTrainer(gallery, global_model, config)
-    return ClassModels.from_models(global_model, per_class, config)
-
-
-class _ClassTrainer(Mapping):
-    """The class models of a gallery, each trained when it is looked up.
-
-    The gallery's sets are grouped by label once, so a lookup touches only
-    its own class's sets.
-    """
-
-    def __init__(self, gallery: Gallery, global_model: DELMModel, config: TrainConfig):
-        self.members: dict[str, list[ImageSet]] = {}
-        for s in gallery.sets:
-            self.members.setdefault(s.label, []).append(s)
-        self.global_model = global_model
-        self.config = config
-
-    def __getitem__(self, label: str) -> DELMModel:
-        merged = ImageSet(concat_features(self.members[label]), label, set_id=label)
-        return train_class_specific(self.global_model, merged, self.config)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
+    members: dict[str, list[ImageSet]] = {}
+    for s in gallery.sets:
+        members.setdefault(s.label, []).append(s)
+    stacks = [np.empty((len(labels), *W.shape)) for W in global_model.weights]
+    for k, label in enumerate(labels):
+        X = concat_features(members[label])
+        for layer, W in zip(stacks, refit_delm(global_model, X, config.layer_C)):
+            layer[k] = W
+    class_stack = DELMModel(weights=stacks, dims=global_model.dims)
+    return ClassModels(global_model, labels, class_stack, config)
 
 
 def _same_stats(a: NormalizationStats | None, b: NormalizationStats | None) -> bool:

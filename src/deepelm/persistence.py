@@ -6,9 +6,10 @@ row-major float64 with an explicit (rows, cols) header. The tag, here and
 in a bundle's config, is always ``sigmoid``, the one activation the models
 use; a file with any other tag does not load. The stats block opens with
 a presence byte and, when present, a per-dimension byte, then epsilon, d
-and the d-length lo and hi. The per-dimension byte is written as 1; a 0,
-which marked one global range repeated d times, still loads as the same
-stats. Any other value of either byte does not load.
+and the d-length lo and hi, whose length must be the model's input
+dimension. The per-dimension byte is written as 1; a 0, which marked one
+global range repeated d times, still loads as the same stats. Any other
+value of either byte does not load.
 
 Bundle container ("DLMC"): the training config, the ordered class labels
 and the global model as a DLMM blob, which carries the feature stats.
@@ -92,25 +93,29 @@ def _stats_parts(stats: NormalizationStats | None) -> list[Buffer]:
     return [head, f64_view(stats.lo), f64_view(stats.hi)]
 
 
-def _read_stats(r: Reader) -> tuple[tuple[int, ...], NormalizationStats | None]:
-    """The stats block's flag bytes, unchecked, and the stats it holds."""
+def _read_stats(r: Reader) -> NormalizationStats | None:
+    """The stats a stats block holds, or None."""
     present = r.u8()
-    if present == 0:
-        return (present,), None
-    flags = (present, r.u8())
+    _check_stats_flag(r, "presence", present)
+    if not present:
+        return None
+    # A per-dimension byte of 0 once marked one global range, still held
+    # as full-length lo and hi, so it reads as the same stats as 1.
+    _check_stats_flag(r, "per-dimension", r.u8())
     eps = r.f64()
     d = r.u32()
     lo = r.f64_array((d,))
     hi = r.f64_array((d,))
-    return flags, NormalizationStats(lo=lo, hi=hi, epsilon=eps)
+    return NormalizationStats(lo=lo, hi=hi, epsilon=eps)
 
 
-def _check_stats_flags(flags: tuple[int, ...]) -> None:
-    # A per-dimension byte of 0 once marked one global range, still held
-    # as full-length lo and hi, so it reads as the same stats as 1.
-    for name, value in zip(("presence", "per-dimension"), flags):
-        if value not in (0, 1):
-            raise ValueError(f"stats {name} flag {value}, expected 0 or 1")
+def _check_stats_flag(r: Reader, name: str, value: int) -> None:
+    """Raise on a flag byte other than 0 or 1. The rest of r's container is
+    read first, so that a corrupt container is reported by its CRC."""
+    if value not in (0, 1):
+        r.intact()  # reads to the end of the payload, for unseal
+        unseal(r)
+        raise ValueError(f"stats {name} flag {value}, expected 0 or 1")
 
 
 def pack_model(model: DELMModel) -> list[Buffer]:
@@ -140,12 +145,11 @@ def unpack_model(r: Reader) -> DELMModel:
         tag = r.text()
         ndims = r.u32()
         dims = r.unpack(f"<{ndims}I")
-        flags, stats = _read_stats(r)
+        stats = _read_stats(r)
         nweights = r.u32()
         weights = [_read_array(r) for _ in range(nweights)]
         unseal(r)
         _check_activation(tag)
-        _check_stats_flags(flags)
         return DELMModel(weights=weights, dims=dims, feature_stats=stats)
 
 

@@ -7,7 +7,6 @@ from scipy.special import logit
 import deepelm.autoencoder as ae
 from deepelm import (
     DELMModel,
-    HiddenLayerParams,
     LayerSpec,
     activate,
     hidden_response,
@@ -56,27 +55,6 @@ class TestTrainAeLayer:
             return np.linalg.norm(X - W.T @ psi)
 
         assert residual(X_low) < residual(X_full)
-
-    def test_init_replaces_random_mapping(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        X = unit_box_data(rng, 6, 25)
-        fixed = HiddenLayerParams(W=random_orthonormal_mapping(6, 4, 99).W, b=np.zeros(4))
-        calls = []
-        real = ae.hidden_response
-
-        def spy(params, Xv):
-            calls.append(params)
-            return real(params, Xv)
-
-        monkeypatch.setattr(ae, "hidden_response", spy)
-        train_ae_layer(X, LayerSpec(width=4, C=1e6, seed=1), init=fixed)
-        assert len(calls) == 1 and calls[0] is fixed
-
-    def test_init_shape_mismatch_rejected(self):
-        X = np.full((6, 5), 0.5)
-        bad = HiddenLayerParams(W=np.zeros((3, 5)), b=np.zeros(3))
-        with pytest.raises(ValueError, match="init mapping shape"):
-            train_ae_layer(X, LayerSpec(width=3, C=1e6, seed=1), init=bad)
 
 
 class TestTrainDelm:
@@ -143,40 +121,6 @@ class TestTrainDelm:
         events.clear()
         train_delm(X, specs_for([6, 5]), final_C=1e12)
         assert events == ["ridge", "ridge", "ridge"]
-
-    def test_init_substitution_feeds_init_weights_as_mappings(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        X = unit_box_data(rng, 9, 35)
-        base = train_delm(X, specs_for([5, 5], seed=3), final_C=1e12)
-        Y = unit_box_data(rng, 9, 12)
-
-        seen = []
-        real = ae.hidden_response
-
-        def spy(params, Xv):
-            seen.append((params, Xv.copy()))
-            return real(params, Xv)
-
-        monkeypatch.setattr(ae, "hidden_response", spy)
-        refit = train_delm(Y, specs_for([5, 5], seed=3), final_C=1e12, init=base)
-
-        assert len(seen) == 2
-        for i, (params, X_in) in enumerate(seen):
-            assert np.array_equal(params.W, base.weights[i])
-            assert np.all(params.b == 0.0)
-            # the pre-solve response equals the init weights applied to the
-            # representation the refit model itself produces at that depth
-            expect_in = Y
-            for W in refit.weights[:i]:
-                expect_in = 1.0 / (1.0 + np.exp(-(W @ expect_in)))
-            assert np.abs(X_in - expect_in).max() <= 1e-12
-
-    def test_init_dims_mismatch_rejected(self):
-        rng = np.random.default_rng(11)
-        X = unit_box_data(rng, 9, 20)
-        base = train_delm(X, specs_for([5, 5]), final_C=1e12)
-        with pytest.raises(ValueError, match="init model dims"):
-            train_delm(X, specs_for([4, 4]), final_C=1e12, init=base)
 
     def test_overfit_sanity_small_set(self):
         rng = np.random.default_rng(12)

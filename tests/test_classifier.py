@@ -11,20 +11,27 @@ from deepelm import (
     DELMModel,
     DataError,
     Gallery,
+    HiddenLayerParams,
     ImageSet,
     SynthParams,
     TrainConfig,
+    activate,
     classify_set,
+    hidden_response,
     normalize_gallery,
     reconstruction_error,
+    solve_orthogonal_procrustes,
+    solve_ridge,
+    subsample_sets,
     synth_generate,
     train_all,
     train_class_specific,
     train_delm,
     train_global,
 )
+from deepelm.autoencoder import logit as ae_logit
 from deepelm.datasets import concat_features
-from deepelm.normalize import apply_stats, compute_stats
+from deepelm.normalize import DEFAULT_EPSILON, apply_stats, compute_stats
 
 
 def constant_output_model(d: int, value: float, width: int = 3) -> DELMModel:
@@ -85,7 +92,7 @@ class TestTrainGlobal:
 
 
 def test_train_all_trains_each_class_on_its_sets_in_label_order(monkeypatch):
-    import deepelm.classifier as classifier_module
+    import deepelm.autoencoder as ae
 
     gallery = make_blob_gallery(classes=4, sets_per_class=3, samples_per_set=5,
                                 dim=8, seed=21)
@@ -93,24 +100,78 @@ def test_train_all_trains_each_class_on_its_sets_in_label_order(monkeypatch):
     # interleave the classes and reverse each one's sets
     shuffled = Gallery(sorted(norm.sets, key=lambda s: (s.set_id[-2:], s.label))[::-1])
     cfg = small_config(seed=21, widths=(4, 4))
-    seen = []
-    real = classifier_module.train_class_specific
+    solves = []
 
-    def record(global_model, class_set, config):
-        seen.append((class_set.label, class_set.features.tobytes()))
-        return real(global_model, class_set, config)
+    def spy(kind, real):
+        # T of a hidden layer's solve is the transpose of that layer's input
+        return lambda H, T, *a: solves.append((kind, T.T.copy(order="K"))) or real(H, T, *a)
 
-    monkeypatch.setattr(classifier_module, "train_class_specific", record)
+    monkeypatch.setattr(ae, "solve_ridge", spy("r", ae.solve_ridge))
+    monkeypatch.setattr(
+        ae, "solve_orthogonal_procrustes", spy("p", ae.solve_orthogonal_procrustes)
+    )
     models = train_all(shuffled, cfg, feature_stats=stats)
     labels = sorted(gallery.classes)
-    assert [lab for lab, _ in seen] == labels
-    for lab, data in seen:
-        members = [s for s in norm.sets if s.label == lab]
-        assert data == concat_features(members).tobytes()
+    assert [kind for kind, _ in solves] == ["r", "p", "r"] * (len(labels) + 1)
+    # after the global model's three solves, each class's three in label
+    # order, the first of them on the class's sets in canonical order
+    for k, lab in enumerate(labels, start=1):
+        data = solves[3 * k][1]
+        want = concat_features([s for s in norm.sets if s.label == lab])
+        assert data.tobytes() == want.tobytes(), lab
+        assert data.flags.f_contiguous == want.flags.f_contiguous
     monkeypatch.undo()
     again = train_all(norm, cfg, feature_stats=stats)
     for Wa, Wb in zip(models.class_stack.weights, again.class_stack.weights):
         assert Wa.tobytes() == Wb.tobytes()
+
+
+def refit_oracle(global_model: DELMModel, X: np.ndarray, config: TrainConfig) -> list:
+    """A class model's weights from public primitives: each global layer
+    wrapped as a zero-bias hidden mapping, then the layer's own solve, and
+    the decode fitted on the clipped logit of X."""
+    weights, H = [], X
+    for G, C in zip(global_model.weights[:-1], config.layer_C):
+        psi = hidden_response(HiddenLayerParams(W=G, b=np.zeros(len(G))), H)
+        if len(G) == len(H):
+            W = solve_orthogonal_procrustes(psi.T, H.T).B
+        else:
+            W = solve_ridge(psi.T, H.T, C)
+        weights.append(W)
+        H = activate(W @ H)
+    stats = global_model.feature_stats
+    eps = stats.epsilon if stats is not None else DEFAULT_EPSILON
+    targets = ae_logit(np.clip(X, eps, 1.0 - eps))
+    weights.append(solve_ridge(H.T, targets.T, config.final_C).T)
+    return weights
+
+
+@pytest.mark.parametrize("widths", [(8, 8), (20, 8)], ids=["ridge-procrustes", "procrustes-ridge"])
+@pytest.mark.parametrize("gallery_kind", ["c-order", "f-order", "interleaved", "one-sample"])
+def test_class_stack_equals_the_refit_oracle(gallery_kind, widths):
+    # at this size the refit's products give other bits on a C-ordered copy
+    # of the F-ordered class data, so memory layout is part of what is pinned
+    gallery = make_blob_gallery(classes=3, sets_per_class=3, samples_per_set=12,
+                                dim=20, seed=41)
+    norm, stats = normalize_gallery(gallery)
+    sets = [ImageSet(np.ascontiguousarray(s.features), s.label, s.set_id) for s in norm.sets]
+    if gallery_kind == "f-order":
+        sets = subsample_sets(norm, [], 10, seed=3)[0].sets
+        assert all(s.features.flags.f_contiguous for s in sets)
+        assert not any(s.features.flags.c_contiguous for s in sets)
+    elif gallery_kind == "interleaved":
+        sets = sorted(sets, key=lambda s: (s.set_id[-2:], s.label))[::-1]
+    elif gallery_kind == "one-sample":
+        first = sets[0]
+        sets = [s for s in sets if s.label != first.label]
+        sets.append(ImageSet(first.features[:, :1], first.label, first.set_id))
+    cfg = small_config(seed=41, widths=widths)
+    models = train_all(Gallery(sets), cfg, feature_stats=stats)
+    for k, label in enumerate(models.class_labels):
+        X = concat_features([s for s in sets if s.label == label])
+        want = refit_oracle(models.global_model, X, cfg)
+        for W, stack in zip(want, models.class_stack.weights, strict=True):
+            assert W.tobytes() == stack[k].tobytes(), (label, W.shape)
 
 
 class TestTrainClassSpecific:
@@ -149,6 +210,63 @@ class TestTrainClassSpecific:
         global_model = train_global(norm, cfg)
         refit = train_class_specific(global_model, norm.sets[0], cfg)
         assert refit.dims == global_model.dims
+
+    @pytest.fixture(scope="class")
+    def refit_case(self):
+        gallery = make_blob_gallery(classes=2, sets_per_class=2, samples_per_set=10,
+                                    dim=9, seed=10)
+        norm, _ = normalize_gallery(gallery)
+        cfg = small_config(seed=3, widths=(5, 5))
+        return norm, cfg, train_global(norm, cfg)
+
+    def test_draws_no_random_mapping(self, refit_case, monkeypatch):
+        import deepelm.autoencoder as ae
+
+        norm, cfg, global_model = refit_case
+        calls = []
+        for name in ("random_orthonormal_mapping", "hidden_response"):
+            monkeypatch.setattr(ae, name, lambda *a, name=name: calls.append(name))
+        train_class_specific(global_model, norm.sets[0], cfg)
+        assert calls == []
+
+    def test_rejects_data_of_another_dimension(self, refit_case):
+        norm, cfg, global_model = refit_case
+        narrow = ImageSet(norm.sets[0].features[:6], "a", "a")
+        with pytest.raises(ValueError, match="do not fit"):
+            train_class_specific(global_model, narrow, cfg)
+
+    def test_feeds_the_global_weights_as_mappings(self, refit_case, monkeypatch):
+        import deepelm.autoencoder as ae
+
+        norm, cfg, global_model = refit_case
+        Y = norm.sets[1].features[:, :7]
+        seen = []
+
+        def spy(real):
+            return lambda H, T, *a: seen.append((H.T.copy(), T.T.copy())) or real(H, T, *a)
+
+        monkeypatch.setattr(ae, "solve_ridge", spy(ae.solve_ridge))
+        monkeypatch.setattr(
+            ae, "solve_orthogonal_procrustes", spy(ae.solve_orthogonal_procrustes)
+        )
+        refit = train_class_specific(global_model, ImageSet(Y, "a", "a"), cfg)
+
+        assert len(seen) == 3
+        for i, (psi, X_in) in enumerate(seen[:2]):
+            # the pre-solve response is the global layer, with no bias,
+            # applied to the representation the refit model itself produces
+            # at that depth
+            expect_in = Y
+            for W in refit.weights[:i]:
+                expect_in = 1.0 / (1.0 + np.exp(-(W @ expect_in)))
+            assert np.abs(X_in - expect_in).max() <= 1e-12
+            expect_psi = 1.0 / (1.0 + np.exp(-(global_model.weights[i] @ expect_in)))
+            assert np.abs(psi - expect_psi).max() <= 1e-12
+
+    def test_rejects_a_global_model_of_other_widths(self, refit_case):
+        norm, _, global_model = refit_case
+        with pytest.raises(ValueError, match="do not fit"):
+            train_class_specific(global_model, norm.sets[0], small_config(seed=3, widths=(4, 4)))
 
 
 class TestTrainAll:

@@ -17,7 +17,9 @@ from deepelm import (
     ClassModels,
     DELMModel,
     DataError,
+    ImageSet,
     SynthParams,
+    TrainConfig,
     classify_set,
     load_image_sets,
     load_model,
@@ -606,6 +608,152 @@ def test_seeded_byte_flips_fail_only_with_data_error(fmt, bundle, probe_manifest
             assert classify_exit(path, manifest, tmp_path, capsys) == 0, pos
     print(f"{fmt}: {rejected} of {len(positions)} flips rejected")
     assert rejected >= header // 2, (rejected, len(positions))
+
+
+# Every header byte takes each of these values, and its own with bit 0 or
+# bit 7 flipped.
+HEADER_BYTE_VALUES = (0, 1, 2, 0x7F, 0xFF)
+
+
+def byte_mutants(b: int) -> list[int]:
+    return sorted({*HEADER_BYTE_VALUES, b ^ 0x01, b ^ 0x80} - {b})
+
+
+def stats_block(stats: NormalizationStats) -> bytes:
+    head = struct.pack("<BBdI", 1, 1, stats.epsilon, stats.dim)
+    return head + stats.lo.astype("<f8").tobytes() + stats.hi.astype("<f8").tobytes()
+
+
+def with_stats_cut(model: DELMModel, d: int) -> bytes:
+    """The DLMM blob of model, which has stats, with the stats cut to their
+    first d dimensions, resealed: no single-byte change gets there."""
+    stats = model.feature_stats
+    cut = NormalizationStats(lo=stats.lo[:d], hi=stats.hi[:d], epsilon=stats.epsilon)
+    payload = unsealed(model_blob(model))
+    assert payload.count(stats_block(stats)) == 1
+    return sealed(payload.replace(stats_block(stats), stats_block(cut)))
+
+
+def as_classifier(model: DELMModel) -> ClassModels:
+    """Two classes that both use model, so that classify_set can run it."""
+    widths = model.dims[1:-1]
+    config = TrainConfig(
+        hidden_layers=len(widths), layer_widths=widths, layer_C=(1.0,) * (len(widths) + 1)
+    )
+    return ClassModels.from_models(model, {"a": model, "b": model}, config)
+
+
+class TestLoadContract:
+    """The load contract, generated over the header bytes of each container:
+    changed to any of the values byte_mutants gives, with the file's CRC and
+    the nested model's recomputed, a file either raises DataError or loads
+    into something that classify_set runs on a probe of its dimension.
+    Array payload bytes are skipped: any value is legal there."""
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        gallery = make_blob_gallery(classes=3, sets_per_class=2, samples_per_set=4,
+                                    dim=5, seed=17)
+        norm, stats = normalize_gallery(gallery)
+        models = train_all(norm, small_config(seed=17, widths=(4, 5)), feature_stats=stats)
+        root = tmp_path_factory.mktemp("contract")
+        return norm, models, root, save_gallery(norm.sets[:1], root / "probes")
+
+    def containers(self, small):
+        """kind -> (file bytes, the arrays whose bytes it holds, loader)."""
+        norm, models, root, _ = small
+        g = models.global_model
+        stats = g.feature_stats
+        bare = DELMModel(weights=g.weights, dims=g.dims)
+        X = norm.sets[0].features[:, :3]
+        save_feature_matrix(root / "x.dlmf", X)
+        save_models(root / "models.dlmc", models)
+        return {
+            "DLMF": ((root / "x.dlmf").read_bytes(), [X.T], load_feature_matrix),
+            "DLMM": (model_blob(g), [*g.weights, stats.lo, stats.hi], load_model),
+            "DLMM-no-stats": (model_blob(bare), bare.weights, load_model),
+            "DLMC": (
+                (root / "models.dlmc").read_bytes(),
+                [*g.weights, stats.lo, stats.hi, *models.class_stack.weights],
+                load_models,
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["DLMF", "DLMM", "DLMM-no-stats", "DLMC"])
+    def test_every_header_byte_mutant(self, kind, small, tmp_path):
+        models = small[1]
+        raw, arrays, load = self.containers(small)[kind]
+        payload = unsealed(raw)
+        spans = blob_spans(payload) if kind == "DLMC" else []
+        skip = {p for _, end in spans for p in range(end - 4, end)}
+        for a in arrays:
+            data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+            assert payload.count(data) == 1
+            at = payload.find(data)
+            skip.update(range(at, at + len(data)))
+        probe = np.random.default_rng(0).random((models.feature_dim, 4))
+        path = tmp_path / "mutant"
+        loaded = rejected = 0
+        for pos in sorted(set(range(len(payload))) - skip):
+            for value in byte_mutants(payload[pos]):
+                buf = bytearray(payload)
+                buf[pos] = value
+                for start, end in spans:
+                    buf[end - 4:end] = struct.pack("<I", zlib.crc32(buf[start:end - 4]))
+                path.write_bytes(sealed(bytes(buf)))
+                try:
+                    got = load(path)
+                    if kind == "DLMF":
+                        probe_set, classifier = ImageSet(got, None, "p"), models
+                    else:
+                        classifier = got if kind == "DLMC" else as_classifier(got)
+                        probe_set = ImageSet(probe[: classifier.feature_dim], None, "p")
+                    with np.errstate(all="ignore"):
+                        classify_set(probe_set, classifier)
+                except DataError:
+                    rejected += 1
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"{kind} byte {pos} set to {value}: {exc!r}")
+                loaded += 1
+        print(f"{kind}: {rejected} rejected, {loaded} loaded")
+        assert rejected > 0
+
+    def test_stats_of_another_dimension(self, small, capsys):
+        _, models, root, probes = small
+        g = models.global_model
+        cut = NormalizationStats(lo=g.feature_stats.lo[:3], hi=g.feature_stats.hi[:3])
+        with pytest.raises(ValueError, match="feature stats of dimension 3, model of 5"):
+            DELMModel(weights=g.weights, dims=g.dims, feature_stats=cut)
+        blob = with_stats_cut(g, 3)
+        (root / "cut.dlmm").write_bytes(blob)
+        with pytest.raises(DataError, match="feature stats of dimension 3"):
+            load_model(root / "cut.dlmm")
+        (root / "cut.dlmc").write_bytes(with_global(models, blob))
+        self.check_cli(root / "cut.dlmc", probes, capsys, "feature stats of dimension 3")
+
+    def test_presence_flag_of_a_model_without_stats(self, small, capsys):
+        _, models, root, probes = small
+        g = models.global_model
+        bare = DELMModel(weights=g.weights, dims=g.dims)
+        payload = bytearray(unsealed(model_blob(bare)))
+        at = 8 + len(pack_text("sigmoid")) + 4 + 4 * len(bare.dims)
+        assert payload[at] == 0
+        payload[at] = 2
+        blob = sealed(bytes(payload))
+        (root / "flag.dlmm").write_bytes(blob)
+        with pytest.raises(DataError, match="stats presence flag 2, expected 0 or 1"):
+            load_model(root / "flag.dlmm")
+        (root / "flag.dlmc").write_bytes(with_global(models, blob))
+        self.check_cli(root / "flag.dlmc", probes, capsys, "stats presence flag 2")
+
+    def check_cli(self, path, probes, capsys, match):
+        """classify on path exits 2 with one line that names the cause."""
+        code = main(["classify", "--model", str(path), "--probes", str(probes),
+                     "--out", str(path.with_suffix(".tsv"))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and match in err, err
 
 
 def large_model(seed: int = 0, d: int = 400) -> DELMModel:
