@@ -19,7 +19,7 @@ normalized into [0, 1] first (see deepelm.normalize).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +151,9 @@ class DELMModel:
         return len(self.weights) - 1
 
 
-def _checked_training_data(X: np.ndarray) -> np.ndarray:
+def check_training_data(X) -> np.ndarray:
+    """X as a float (d, s) matrix, once it is found non-empty, finite and
+    in [0, 1]; ValueError otherwise."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError(f"expected a non-empty (d, s) matrix, got shape {X.shape}")
@@ -165,6 +167,21 @@ def _checked_training_data(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _training_input(X) -> tuple:
+    """(source, matrix) for a training pass on X, a (d, s) matrix or a list
+    of (d, s_i) column blocks.
+
+    A matrix is its own source, used as it is. Blocks are concatenated, as
+    datasets.concat_features does, into a fresh matrix that the pass may
+    drop once its first layer's output exists; the blocks stay the source
+    that the decode targets are built from again.
+    """
+    if isinstance(X, list):
+        return X, np.hstack(X, dtype=float)
+    X = np.asarray(X, dtype=float)
+    return X, X
+
+
 def _solve_layer(H: np.ndarray, X_in: np.ndarray, C: float) -> np.ndarray:
     """Output weights projecting the responses H back onto X_in. A layer
     as wide as its input keeps the data in one space: they are orthogonal."""
@@ -173,11 +190,17 @@ def _solve_layer(H: np.ndarray, X_in: np.ndarray, C: float) -> np.ndarray:
     return solve_ridge(H.T, X_in.T, C)
 
 
-def _solve_decode(X, H, final_C: float, stats: NormalizationStats | None) -> np.ndarray:
+def _solve_decode(source, H, final_C: float, stats: NormalizationStats | None) -> np.ndarray:
     """Decode weights fitting logit-clamped X from H, so that the outer
-    sigmoid lands back on X. The logit is taken in the clip's own buffer."""
+    sigmoid lands back on X, the source matrix or the concatenation of the
+    source blocks. Blocks are concatenated again into the targets buffer;
+    the clip and the logit are taken in that buffer."""
     eps = stats.epsilon if stats is not None else DEFAULT_EPSILON
-    targets = np.clip(X, eps, 1.0 - eps)
+    if isinstance(source, list):
+        targets = np.hstack(source, dtype=float)
+        np.clip(targets, eps, 1.0 - eps, out=targets)
+    else:
+        targets = np.clip(source, eps, 1.0 - eps)
     logit(targets, out=targets)
     return solve_ridge(H.T, targets.T, final_C).T
 
@@ -204,54 +227,63 @@ def train_ae_layer(X_in: np.ndarray, spec: LayerSpec) -> tuple[np.ndarray, np.nd
 
 
 def train_delm(
-    X: np.ndarray,
+    X: np.ndarray | list[np.ndarray],
     specs: list[LayerSpec],
     final_C: float,
     feature_stats: NormalizationStats | None = None,
 ) -> DELMModel:
     """Train a deep auto-encoder with one layer per spec plus a decode layer.
 
-    X is (d, s) with entries in [0, 1]. Layers are trained sequentially,
-    each on the forward representation of the previous one. The final
-    weight matrix is a ridge fit of logit-clamped X from the last hidden
-    representation, so the closing sigmoid reproduces the inputs. specs
-    may be empty, giving the degenerate single-matrix model.
+    X is a (d, s) matrix with entries in [0, 1], or a list of (d, s_i)
+    column blocks that stand for their concatenation. Layers are trained
+    sequentially, each on the forward representation of the previous one.
+    The final weight matrix is a ridge fit of logit-clamped X from the last
+    hidden representation, so the closing sigmoid reproduces the inputs.
+    specs may be empty, giving the degenerate single-matrix model.
+
+    A matrix is trained on as it is. Blocks are concatenated into a matrix
+    that is dropped once the first layer's output exists, and concatenated
+    again into the decode targets, so a pass over blocks holds at most two
+    sample-sized matrices at a time: a layer's input and its output, or the
+    last representation and the targets. Both forms give the same bits.
     """
-    X = _checked_training_data(X)
+    X, H = _training_input(X)
+    check_training_data(H)
     if not (np.isfinite(final_C) and final_C > 0):
         raise ValueError(f"final_C must be positive and finite, got {final_C}")
+    d = H.shape[0]
     weights: list[np.ndarray] = []
-    H = X
     for spec in specs:
         W, H = train_ae_layer(H, spec)
         weights.append(W)
     weights.append(_solve_decode(X, H, final_C, feature_stats))
-    d = X.shape[0]
     dims = (d, *(spec.width for spec in specs), d)
     return DELMModel(weights=weights, dims=dims, feature_stats=feature_stats)
 
 
-def refit_delm(model: DELMModel, X: np.ndarray, layer_C: Sequence[float]) -> list[np.ndarray]:
-    """Re-solve every layer's output weights of model on the (d, s) data X.
+def refit_delm(
+    model: DELMModel, X: np.ndarray | list[np.ndarray], layer_C: Sequence[float]
+) -> Iterator[np.ndarray]:
+    """Re-solve every layer's output weights of model on the data X.
 
     This trains a class model from the global one. Layer i keeps
     model.weights[i], with no bias, as its fixed feature mapping, and is
     solved as train_delm solves it, with tradeoff layer_C[i]; layer_C has
-    one entry per layer and X the model's input dimension. Returns the new
-    weights, one array per layer.
+    one entry per layer. X takes either form train_delm takes, holds the
+    model's input dimension, and is not checked here: callers check it
+    (see check_training_data). Yields the new weights one layer at a time,
+    each as soon as it is solved, so a caller can store it before the next
+    layer is solved.
     """
-    X = _checked_training_data(X)
-    weights: list[np.ndarray] = []
-    H = X
+    X, H = _training_input(X)
     for G, C in zip(model.weights[:-1], layer_C):
         R = G @ H
         W = _solve_layer(activate(R, out=R), H, C)
         del R
+        yield W
         out = W @ H
         H = activate(out, out=out)
-        weights.append(W)
-    weights.append(_solve_decode(X, H, layer_C[-1], model.feature_stats))
-    return weights
+    yield _solve_decode(X, H, layer_C[-1], model.feature_stats)
 
 
 def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:

@@ -21,8 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import DELMModel, LayerSpec, reconstruction_error, refit_delm, train_delm
-from .datasets import Gallery, ImageSet, concat_features
+from .autoencoder import (
+    DELMModel,
+    LayerSpec,
+    check_training_data,
+    reconstruction_error,
+    refit_delm,
+    train_delm,
+)
+from .datasets import Gallery, ImageSet, canonical_sets
 from .elm import check_seed
 from .errors import ConfigError, DataError
 from .normalize import NormalizationStats, apply_stats
@@ -121,8 +128,7 @@ class ClassModels:
         feature stats, since the stack keeps them only once, on the global
         model. The stacks are allocated first, and each model is looked up
         once and copied into them before the next lookup, so a mapping
-        that builds its models on lookup (as train_all's does) never has
-        more than one alive.
+        that builds its models on lookup never has more than one alive.
         """
         if not per_class:
             raise ValueError("per-class models missing")
@@ -173,14 +179,13 @@ def train_global(
 ) -> DELMModel:
     """Train the unsupervised global model on all gallery columns.
 
-    Columns are concatenated in canonical (set_id, sample index) order so
-    set iteration order cannot perturb the result. The gallery must already
-    be normalized into [0, 1]; pass the stats used so they travel with the
-    model.
+    The sets' feature arrays are passed to train_delm as column blocks in
+    canonical (set_id, sample index) order, so set iteration order cannot
+    perturb the result. The gallery must already be normalized into
+    [0, 1]; pass the stats used so they travel with the model.
     """
-    X = concat_features(gallery.sets)
     return train_delm(
-        X,
+        [s.features for s in canonical_sets(gallery.sets)],
         config.layer_specs(),
         final_C=config.final_C,
         feature_stats=feature_stats,
@@ -196,11 +201,21 @@ def train_class_specific(
     d = class_set.feature_dim
     if global_model.dims != (d, *config.layer_widths, d):
         raise ValueError(f"global model dims {global_model.dims} do not fit the data and config")
+    X = check_training_data(class_set.features)
     return DELMModel(
-        weights=refit_delm(global_model, class_set.features, config.layer_C),
+        weights=list(refit_delm(global_model, X, config.layer_C)),
         dims=global_model.dims,
         feature_stats=global_model.feature_stats,
     )
+
+
+def check_class_count(labels) -> None:
+    """Raise DataError unless labels name at least the 2 classes that
+    classification needs."""
+    if len(labels) < 2:
+        raise DataError(
+            f"classification needs at least 2 classes, gallery has {len(labels)}"
+        )
 
 
 def train_all(
@@ -211,22 +226,23 @@ def train_all(
     """Train the global model, then one independent model per class.
 
     The class stack is allocated once. Each class, in label order, is
-    refitted from the global model on its concatenated sets, and its
-    weights are copied into the stack before the next class is refitted.
+    refitted from the global model on its sets' feature arrays, passed as
+    column blocks in canonical order, and each layer's weights are copied
+    into the class's stack slice as soon as they are solved. The global
+    model's training checks every gallery column, so the refits check
+    nothing again. Each pass holds at most two sample-sized matrices (see
+    train_delm).
     """
     labels = gallery.classes
-    if len(labels) < 2:
-        raise DataError(
-            f"classification needs at least 2 classes, gallery has {len(labels)}"
-        )
+    check_class_count(labels)
     global_model = train_global(gallery, config, feature_stats=feature_stats)
-    members: dict[str, list[ImageSet]] = {}
-    for s in gallery.sets:
-        members.setdefault(s.label, []).append(s)
+    members: dict[str, list[np.ndarray]] = {}
+    for s in canonical_sets(gallery.sets):
+        members.setdefault(s.label, []).append(s.features)
     stacks = [np.empty((len(labels), *W.shape)) for W in global_model.weights]
     for k, label in enumerate(labels):
-        X = concat_features(members[label])
-        for layer, W in zip(stacks, refit_delm(global_model, X, config.layer_C)):
+        layers = refit_delm(global_model, members[label], config.layer_C)
+        for layer, W in zip(stacks, layers, strict=True):
             layer[k] = W
     class_stack = DELMModel(weights=stacks, dims=global_model.dims)
     return ClassModels(global_model, labels, class_stack, config)

@@ -274,6 +274,13 @@ def cmd_bench(args) -> int:
     print(f"train_seconds\t{report.train_seconds:.2f}")
     print(f"test_seconds_per_set\t{report.test_seconds_per_set:.6f}")
     print(f"peak_memory_bytes\t{report.peak_memory_bytes}")
+    # the concatenated gallery and the class stack, the units of the
+    # training peak's bound (see README, "Training memory")
+    d = gallery.feature_dim
+    dims = (d, *config.layer_widths, d)
+    print(f"gallery_matrix_bytes\t{8 * d * gallery.total_samples}")
+    stack_bytes = 8 * len(gallery.classes) * sum(a * b for a, b in zip(dims, dims[1:]))
+    print(f"class_stack_bytes\t{stack_bytes}")
     print(f"resubstitution_accuracy_pct\t{report.mean_accuracy:.2f}")
     return EXIT_OK
 

@@ -146,14 +146,14 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     if not path.is_file():
         raise DataError(f"feature file not found: {path}")
     with open_sealed(path) as r:
-        magic, version, d, s = r.unpack("<4sIII")
+        magic, version, d, s = r.unpack("<4sIII", "feature header")
         if magic != FEATURE_MAGIC:
             raise DataError(f"{path}: not a feature file (bad magic {magic!r})")
         if version != FEATURE_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported feature format version {version}")
         if d < 1 or s < 1:
             raise DataError(f"{path}: invalid dimensions d={d}, s={s}")
-        X = r.f64_array((s, d)).T
+        X = r.f64_array((s, d), f"feature matrix of d={d}, s={s}").T
         unseal(r)
     return X
 

@@ -46,6 +46,7 @@ import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -223,7 +224,11 @@ class Reader:
     Reader of the container it is nested in. Every payload byte fetched
     from src is chained into a CRC32, which ``unseal`` compares with the
     trailing four bytes. No read goes past the payload, so a corrupt
-    length can never make it allocate more than the container holds.
+    length can never make it allocate more than the container holds. Each
+    read names the field it reads, and a read that would run past the
+    payload, or a count or length that asks for more bytes than are left,
+    raises a DataError that names the field, unless the container's CRC
+    does not match: then the container is reported as corrupt.
     ``open_sealed`` gives the Reader of a large file a ``worker``, which
     then chains the CRC over the bytes fetched in its place, and smaller
     read-ahead windows, which Readers nested in it share.
@@ -244,12 +249,19 @@ class Reader:
         self.lookahead = src.lookahead if isinstance(src, Reader) else _WINDOW
         self.stored: int | None = None
 
-    def _need(self, n: int) -> None:
-        """Raise DataError unless n more payload bytes remain."""
-        if self.pos + n > self.end:
-            raise DataError(
-                f"{self.source}: truncated file (needed {n} more bytes at offset {self.pos})"
-            )
+    def _need(self, n: int, field: str) -> None:
+        """Raise DataError, naming field, unless n more payload bytes remain."""
+        left = self.end - self.pos
+        if n > left:
+            self.fail(f"{field} needs {n} bytes at offset {self.pos}, {left} left")
+
+    def fail(self, what: str) -> NoReturn:
+        """Raise DataError saying what is wrong with this container, or that
+        it is corrupt if its CRC does not match: the rest of it is read
+        first, so that a corrupt container is reported by its CRC."""
+        if not self.intact():
+            raise DataError(f"{self.source}: checksum mismatch (corrupt or truncated file)")
+        raise DataError(f"{self.source}: {what}")
 
     def _fetch(self, view: memoryview) -> None:
         if self.worker is None:
@@ -262,11 +274,12 @@ class Reader:
             _fill(self.src, chunk, self.source)
             self.worker.put(chunk)
 
-    def _claim(self, n: int) -> int:
-        """Consume the next n payload bytes from the window; return their offset."""
+    def _claim(self, n: int, field: str) -> int:
+        """Consume the next n payload bytes, those of field, from the window;
+        return their offset."""
         left = len(self.window) - self.wpos
         if left < n:
-            self._need(n)  # before allocating: a corrupt length may ask for anything
+            self._need(n, field)  # before allocating: a corrupt length may ask for anything
             fetched = self.pos + left
             buf = bytearray(max(n, left + min(self.lookahead, self.end - fetched)))
             buf[:left] = memoryview(self.window)[self.wpos :]
@@ -280,64 +293,64 @@ class Reader:
     def readinto(self, view: memoryview) -> int:
         """Fill view with the next payload bytes; returns its length."""
         n = len(view)
-        self._need(n)
+        self._need(n, "nested container")
         have = min(n, len(self.window) - self.wpos)
-        at = self._claim(have)
+        at = self._claim(have, "nested container")
         view[:have] = memoryview(self.window)[at : at + have]
         if n > have:
             self._fetch(view[have:])
             self.pos += n - have
         return n
 
-    def take(self, n: int) -> bytearray:
-        at = self._claim(n)
+    def take(self, n: int, field: str) -> bytearray:
+        at = self._claim(n, field)
         return self.window[at : at + n]
 
-    def unpack(self, fmt: str):
-        at = self._claim(struct.calcsize(fmt))
+    def unpack(self, fmt: str, field: str):
+        at = self._claim(struct.calcsize(fmt), field)
         return struct.unpack_from(fmt, self.window, at)
 
-    def u8(self) -> int:
-        return self.unpack("<B")[0]
+    def u8(self, field: str) -> int:
+        return self.unpack("<B", field)[0]
 
-    def u16(self) -> int:
-        return self.unpack("<H")[0]
+    def i64(self, field: str) -> int:
+        return self.unpack("<q", field)[0]
 
-    def u32(self) -> int:
-        return self.unpack("<I")[0]
+    def f64(self, field: str) -> float:
+        return self.unpack("<d", field)[0]
 
-    def u64(self) -> int:
-        return self.unpack("<Q")[0]
+    def count(self, field: str, item_bytes: int, fmt: str = "<I") -> int:
+        """A count or length field, once that many items of item_bytes each
+        fit in the payload left; a count of items of varying size passes the
+        least size. DataError naming the field otherwise."""
+        n = self.unpack(fmt, field)[0]
+        self._need(n * item_bytes, f"{field} {n}")
+        return n
 
-    def i64(self) -> int:
-        return self.unpack("<q")[0]
-
-    def f64(self) -> float:
-        return self.unpack("<d")[0]
-
-    def f64_array(self, shape: tuple[int, ...]) -> np.ndarray:
+    def f64_array(self, shape: tuple[int, ...], field: str) -> np.ndarray:
         """The next row-major float64 array of this shape, as a fresh array."""
-        self._need(8 * math.prod(shape))
+        self._need(8 * math.prod(shape), field)
         out = np.empty(shape, dtype="<f8")
         self.readinto(memoryview(out.reshape(-1).view(np.uint8)))
         return out.astype(float, copy=False)
 
-    def text(self) -> str:
+    def text(self, field: str) -> str:
         start = self.pos
+        raw = self.take(self.count(f"{field} length", 1, "<H"), field)
         try:
-            return self.take(self.u16()).decode("utf-8")
+            return raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise DataError(f"{self.source}: invalid UTF-8 text at offset {start}") from None
+            self.fail(f"invalid UTF-8 in {field} at offset {start}")
 
     def sealed(self, size: int, source: str) -> Reader:
         """A Reader of the sealed container held in the next size bytes."""
-        self._need(size)
+        self._need(size, f"container {source}")
         return Reader(self, size, source)
 
     def intact(self) -> bool:
         """Read the rest of the container; whether its CRC32 matches."""
         while self.pos < self.end:
-            self.take(min(self.end - self.pos, _WINDOW))
+            self.take(min(self.end - self.pos, _WINDOW), "rest of the payload")
         if self.stored is None:
             tail = bytearray(4)
             _fill(self.src, memoryview(tail), self.source)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import TrainConfig, classify_set, train_all
+from .classifier import TrainConfig, check_class_count, classify_set, train_all
 from .datasets import Gallery, ImageSet, canonical_sets, normalize_gallery
 from .elm import check_seed
 from .errors import ConfigError
@@ -271,9 +271,11 @@ def _evaluate_fold(
 def run_kfold(gallery: Gallery, spec: ProtocolSpec, config: TrainConfig) -> RunReport:
     """Repeat train/classify over seeded gallery-probe splits.
 
-    Training memory is not measured: each fold trains once, timed, with
-    allocation tracing off. measure_run reports the peak.
+    A gallery of fewer than 2 classes raises DataError before any fold
+    work. Training memory is not measured: each fold trains once, timed,
+    with allocation tracing off. measure_run reports the peak.
     """
+    check_class_count(gallery.classes)
     folds = split_folds(gallery, spec)
     accs, train_total, test_total, n_probes, max_sets = [], 0.0, 0.0, 0, []
     for fold, (gal_sets, probe_sets) in enumerate(folds):

@@ -82,8 +82,9 @@ def _array_parts(W: np.ndarray) -> list[Buffer]:
     return [struct.pack(f"<{W.ndim}I", *W.shape), f64_view(W)]
 
 
-def _read_array(r: Reader, ndim: int = 2) -> np.ndarray:
-    return r.f64_array(r.unpack(f"<{ndim}I"))
+def _read_array(r: Reader, field: str, ndim: int = 2) -> np.ndarray:
+    shape = r.unpack(f"<{ndim}I", f"{field} shape")
+    return r.f64_array(shape, f"{field} of shape {shape}")
 
 
 def _stats_parts(stats: NormalizationStats | None) -> list[Buffer]:
@@ -95,27 +96,25 @@ def _stats_parts(stats: NormalizationStats | None) -> list[Buffer]:
 
 def _read_stats(r: Reader) -> NormalizationStats | None:
     """The stats a stats block holds, or None."""
-    present = r.u8()
+    present = r.u8("stats presence flag")
     _check_stats_flag(r, "presence", present)
     if not present:
         return None
     # A per-dimension byte of 0 once marked one global range, still held
     # as full-length lo and hi, so it reads as the same stats as 1.
-    _check_stats_flag(r, "per-dimension", r.u8())
-    eps = r.f64()
-    d = r.u32()
-    lo = r.f64_array((d,))
-    hi = r.f64_array((d,))
+    _check_stats_flag(r, "per-dimension", r.u8("stats per-dimension flag"))
+    eps = r.f64("stats epsilon")
+    d = r.count("stats d", 16)  # lo and hi
+    lo = r.f64_array((d,), "stats lo")
+    hi = r.f64_array((d,), "stats hi")
     return NormalizationStats(lo=lo, hi=hi, epsilon=eps)
 
 
 def _check_stats_flag(r: Reader, name: str, value: int) -> None:
-    """Raise on a flag byte other than 0 or 1. The rest of r's container is
-    read first, so that a corrupt container is reported by its CRC."""
+    """Raise DataError on a flag byte other than 0 or 1, once the rest of
+    r's container passed its CRC (see Reader.fail)."""
     if value not in (0, 1):
-        r.intact()  # reads to the end of the payload, for unseal
-        unseal(r)
-        raise ValueError(f"stats {name} flag {value}, expected 0 or 1")
+        r.fail(f"stats {name} flag {value}, expected 0 or 1")
 
 
 def pack_model(model: DELMModel) -> list[Buffer]:
@@ -136,18 +135,18 @@ def pack_model(model: DELMModel) -> list[Buffer]:
 
 def unpack_model(r: Reader) -> DELMModel:
     """Read one DLMM container from r, and check its CRC32."""
-    magic, version = r.unpack("<4sI")
+    magic, version = r.unpack("<4sI", "model magic and version")
     if magic != MODEL_MAGIC:
         raise DataError(f"{r.source}: not a model file (bad magic {magic!r})")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"{r.source}: unsupported model format version {version}")
     with _decoding(r.source):
-        tag = r.text()
-        ndims = r.u32()
-        dims = r.unpack(f"<{ndims}I")
+        tag = r.text("activation tag")
+        ndims = r.count("dims count", 4)
+        dims = r.unpack(f"<{ndims}I", "dims")
         stats = _read_stats(r)
-        nweights = r.u32()
-        weights = [_read_array(r) for _ in range(nweights)]
+        nweights = r.count("weight count", 8)  # each opens with its shape
+        weights = [_read_array(r, f"weights[{i}]") for i in range(nweights)]
         unseal(r)
         _check_activation(tag)
         return DELMModel(weights=weights, dims=dims, feature_stats=stats)
@@ -175,12 +174,12 @@ def _pack_config(config: TrainConfig) -> bytes:
 
 
 def _read_config(r: Reader) -> TrainConfig:
-    h = r.u32()
-    seed = r.i64()
-    tag = r.text()
-    widths = r.unpack(f"<{h}I")
-    ncs = r.u32()
-    cs = r.unpack(f"<{ncs}d")
+    h = r.count("hidden layer count", 4)  # one width each
+    seed = r.i64("seed")
+    tag = r.text("activation tag")
+    widths = r.unpack(f"<{h}I", "layer widths")
+    ncs = r.count("C count", 8)
+    cs = r.unpack(f"<{ncs}d", "layer C values")
     config = TrainConfig(hidden_layers=h, layer_widths=widths, layer_C=cs, seed=seed)
     _check_activation(tag)
     return config
@@ -208,24 +207,30 @@ def load_models(path: str | Path) -> ClassModels:
         raise DataError(f"model file not found: {path}")
     source = str(path)
     with open_sealed(path) as r:
-        magic, version = r.unpack("<4sI")
+        magic, version = r.unpack("<4sI", "bundle magic and version")
         if magic != BUNDLE_MAGIC:
             raise DataError(f"{source}: not a classifier bundle (bad magic {magic!r})")
         if version not in BUNDLE_FORMAT_VERSIONS:
             raise DataError(f"{source}: unsupported bundle format version {version}")
         with _decoding(source):
             config = _read_config(r)
-            labels = [r.text() for _ in range(r.u32())]
-            global_model = unpack_model(r.sealed(r.u64(), f"{source}[global]"))
+            nlabels = r.count("label count", 2)  # each opens with its length
+            labels = [r.text(f"label {k}") for k in range(nlabels)]
+            size = r.count("global model length", 1, "<Q")
+            global_model = unpack_model(r.sealed(size, f"{source}[global]"))
             if version == 1:
-                per_class = {
-                    lab: unpack_model(r.sealed(r.u64(), f"{source}[{lab}]")) for lab in labels
-                }
+                per_class = {}
+                for lab in labels:
+                    size = r.count(f"class {lab!r} model length", 1, "<Q")
+                    per_class[lab] = unpack_model(r.sealed(size, f"{source}[{lab}]"))
                 unseal(r)
                 if len(per_class) != len(labels):
                     raise ValueError(f"duplicate class labels {labels}")
                 return ClassModels.from_models(global_model, per_class, config)
-            stacks = [_read_array(r, 3) for _ in global_model.weights]
+            stacks = [
+                _read_array(r, f"class stack layer {i}", 3)
+                for i in range(len(global_model.weights))
+            ]
             unseal(r)
             class_stack = DELMModel(weights=stacks, dims=global_model.dims)
             return ClassModels(global_model, labels, class_stack, config)

@@ -131,6 +131,89 @@ class TestTrainDelm:
         assert per_dim <= 1e-2
 
 
+def column_blocks(order, sizes, seed=30, d=12):
+    """Blocks of unit-box data with the given column counts, laid out C or F."""
+    rng = np.random.default_rng(seed)
+    lay = np.asfortranarray if order == "F" else np.ascontiguousarray
+    return [lay(unit_box_data(rng, d, n)) for n in sizes]
+
+
+def weakref_inputs(monkeypatch):
+    """Spy on ae._solve_layer: per call, a weak reference to the layer's input,
+    and whether the first call's input was still alive at this call."""
+    import weakref
+
+    calls = []
+    real = ae._solve_layer
+
+    def spy(H, X_in, C):
+        calls.append((weakref.ref(X_in), calls[0][0]() is not None if calls else True))
+        return real(H, X_in, C)
+
+    monkeypatch.setattr(ae, "_solve_layer", spy)
+    return calls
+
+
+# 12 -> 12 is a Procrustes layer, 12 -> 7 a ridge one; 1 and 3 blocks
+@pytest.mark.parametrize("sizes", [(9,), (5, 9, 4)], ids=["one-block", "three-blocks"])
+@pytest.mark.parametrize("order", ["C", "F"])
+class TestColumnBlocks:
+    """A list of column blocks trains as their np.hstack does, bit for bit,
+    and a pass over blocks drops the concatenation after its first layer."""
+
+    def test_train_delm_equals_the_concatenation(self, order, sizes):
+        blocks = column_blocks(order, sizes)
+        specs = specs_for([12, 7], seed=4)
+        want = train_delm(np.hstack(blocks), specs, final_C=1e12)
+        got = train_delm(blocks, specs, final_C=1e12)
+        assert got.dims == want.dims
+        for Wg, Ww in zip(got.weights, want.weights, strict=True):
+            assert Wg.tobytes() == Ww.tobytes()
+
+    def test_refit_delm_equals_the_concatenation(self, order, sizes):
+        blocks = column_blocks(order, sizes)
+        model = train_delm(column_blocks(order, (20,), seed=31), specs_for([12, 7]), 1e12)
+        layer_C = (1e6, 1e6, 1e10)
+        want = list(ae.refit_delm(model, np.hstack(blocks), layer_C))
+        got = list(ae.refit_delm(model, blocks, layer_C))
+        for Wg, Ww in zip(got, want, strict=True):
+            assert Wg.tobytes() == Ww.tobytes()
+
+    def test_blocks_drop_their_concatenation_after_the_first_layer(
+        self, order, sizes, monkeypatch
+    ):
+        blocks = column_blocks(order, sizes)
+        calls = weakref_inputs(monkeypatch)
+        model = train_delm(blocks, specs_for([12, 7]), final_C=1e12)
+        assert [alive for _, alive in calls] == [True, False]
+        calls.clear()
+        list(ae.refit_delm(model, blocks, (1e6, 1e6, 1e10)))
+        assert [alive for _, alive in calls] == [True, False]
+        # a matrix is the caller's, and stays alive
+        X = np.hstack(blocks)
+        calls.clear()
+        train_delm(X, specs_for([12, 7]), final_C=1e12)
+        assert calls[0][0]() is X
+        assert [alive for _, alive in calls] == [True, True]
+
+
+def test_refit_delm_yields_each_layer_as_soon_as_it_is_solved(monkeypatch):
+    solves = []
+    for name in ("solve_ridge", "solve_orthogonal_procrustes"):
+        real = getattr(ae, name)
+        monkeypatch.setattr(
+            ae, name, lambda *a, _real=real, **k: solves.append(a[0].shape) or _real(*a, **k)
+        )
+    blocks = column_blocks("C", (5, 9))
+    model = train_delm(blocks, specs_for([12, 7]), final_C=1e12)
+    solves.clear()
+    layers = ae.refit_delm(model, blocks, (1e6, 1e6, 1e10))
+    for n, W in enumerate(layers, start=1):
+        assert len(solves) == n
+        assert W.shape == model.weights[n - 1].shape
+    assert len(solves) == 3
+
+
 class TestReconstruct:
     def test_zero_weights_give_half(self):
         model = DELMModel(

@@ -321,6 +321,19 @@ class TestEval:
         assert code == 3
         assert "class00" in err
 
+    @pytest.mark.parametrize("mode", ["nc", "ng", "np", "ngp"])
+    def test_one_class_gallery_exit_2(self, tmp_path, capsys, mode):
+        one = tmp_path / "one"
+        assert run(capsys, "synth", "--out-dir", str(one), "--classes", "1",
+                   "--sets-per-class", "4", "--samples-per-set", "4",
+                   "--dim", "6", "--seed", "2")[0] == 0
+        report = tmp_path / "r.txt"
+        code, _, err = run(capsys, "eval", str(one / "manifest.txt"), "--out", str(report),
+                           "--width", "3", "--noise-mode", mode)
+        assert code == 2
+        assert err == "error: classification needs at least 2 classes, gallery has 1\n"
+        assert not report.exists() and not report.with_suffix(".kv").exists()
+
 
 class TestBench:
     def test_table_format(self, synth_dir, capsys):
@@ -334,6 +347,9 @@ class TestBench:
         assert float(train) >= 0.0 and len(train.split(".")[1]) == 2
         assert float(rows["test_seconds_per_set"]) > 0.0
         assert int(rows["peak_memory_bytes"]) > 0
+        # 3 classes, d=12, widths 5/5, 3 sets of 8 samples per class
+        assert int(rows["gallery_matrix_bytes"]) == 8 * 12 * 72
+        assert int(rows["class_stack_bytes"]) == 8 * 3 * (12 * 5 + 5 * 5 + 5 * 12)
 
     def test_repeat_run_same_accuracy(self, synth_dir, capsys):
         accs = []

@@ -234,12 +234,14 @@ def test_from_models_rejects_a_model_of_other_dims(trained):
 
 
 def test_training_peak_memory_stays_within_budget():
-    """Training holds at most three gallery-sized matrices besides the class
-    stack: the gallery, one layer's input and its output.
+    """Training holds at most two gallery-sized matrices besides the class
+    stack: one layer's input and its output, or the last representation and
+    the decode targets.
 
-    Measured on this gallery: 2.63x the gallery bytes beyond the stack; an
-    implementation that kept a gallery-sized temporary too many (4.53x before
-    the forward passes ran in place) fails.
+    Measured on this gallery: 1.63x the gallery bytes beyond the stack; an
+    implementation that kept a gallery-sized matrix too many (2.63x while
+    the concatenated gallery stayed alive through training, 4.53x before the
+    forward passes ran in place) fails.
     """
     gallery = make_blob_gallery(classes=4, sets_per_class=3, samples_per_set=100, dim=64, seed=0)
     norm, stats = normalize_gallery(gallery)
@@ -256,4 +258,4 @@ def test_training_peak_memory_stays_within_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base <= 3 * gallery_bytes + stack_bytes
+    assert peak - base <= 2 * gallery_bytes + stack_bytes

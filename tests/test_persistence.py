@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import re
 import struct
 import sys
 import threading
@@ -560,14 +561,14 @@ class TestMalformedContents:
 def blob_spans(payload: bytes) -> list[tuple[int, int]]:
     """(start, end) of every length-prefixed DLMM blob in a bundle payload."""
     r = Reader(io.BytesIO(payload), len(payload) + 4, "bundle")
-    _, version = r.unpack("<4sI")
+    _, version = r.unpack("<4sI", "magic and version")
     _read_config(r)
-    labels = [r.text() for _ in range(r.u32())]
+    labels = [r.text("label") for _ in range(r.count("label count", 2))]
     spans = []
     for _ in range(1 + (len(labels) if version == 1 else 0)):
-        n = r.u64()
+        n = r.count("model length", 1, "<Q")
         spans.append((r.pos, r.pos + n))
-        r.take(n)
+        r.take(n, "model")
     return spans
 
 
@@ -643,6 +644,10 @@ def as_classifier(model: DELMModel) -> ClassModels:
     return ClassModels.from_models(model, {"a": model, "b": model}, config)
 
 
+# The message of a short read that named no field.
+UNNAMED_TRUNCATION = re.compile(r"truncated file \(needed \d+ more bytes at offset \d+\)")
+
+
 class TestLoadContract:
     """The load contract, generated over the header bytes of each container:
     changed to any of the values byte_mutants gives, with the file's CRC and
@@ -694,6 +699,7 @@ class TestLoadContract:
         probe = np.random.default_rng(0).random((models.feature_dim, 4))
         path = tmp_path / "mutant"
         loaded = rejected = 0
+        unnamed = []
         for pos in sorted(set(range(len(payload))) - skip):
             for value in byte_mutants(payload[pos]):
                 buf = bytearray(payload)
@@ -710,14 +716,50 @@ class TestLoadContract:
                         probe_set = ImageSet(probe[: classifier.feature_dim], None, "p")
                     with np.errstate(all="ignore"):
                         classify_set(probe_set, classifier)
-                except DataError:
+                except DataError as exc:
                     rejected += 1
+                    # a count or length that runs past the payload is named
+                    if UNNAMED_TRUNCATION.search(str(exc)):
+                        unnamed.append((pos, value, str(exc)))
                     continue
                 except Exception as exc:
                     pytest.fail(f"{kind} byte {pos} set to {value}: {exc!r}")
                 loaded += 1
-        print(f"{kind}: {rejected} rejected, {loaded} loaded")
+        print(f"{kind}: {rejected} rejected, {loaded} loaded, {len(unnamed)} unnamed")
         assert rejected > 0
+        assert not unnamed, unnamed[:5]
+
+    def test_counts_and_lengths_name_their_field(self, small, tmp_path, capsys):
+        _, models, root, probes = small
+        raw = self.containers(small)["DLMF"][0]
+        payload = bytearray(unsealed(raw))
+        payload[12:16] = struct.pack("<I", 0xFFFFFFFF)  # s; d=5, s=3 hold 120 bytes
+        (tmp_path / "x.dlmf").write_bytes(sealed(bytes(payload)))
+        with pytest.raises(DataError, match=r"feature matrix of d=5, s=4294967295 needs "
+                                            r"171798691800 bytes at offset 16, 120 left"):
+            load_feature_matrix(tmp_path / "x.dlmf")
+        payload = bytearray(unsealed((root / "models.dlmc").read_bytes()))
+        at = 8 + len(_pack_config(models.config))
+        assert payload[at:at + 4] == struct.pack("<I", 3)
+        payload[at:at + 4] = struct.pack("<I", 0xFFFFFFFF)
+        (tmp_path / "labels.dlmc").write_bytes(sealed(bytes(payload)))
+        self.check_cli(tmp_path / "labels.dlmc", probes, capsys,
+                       f"label count 4294967295 needs 8589934590 bytes at offset {at + 4}")
+
+    def test_checksum_reported_before_a_bad_count(self, small, tmp_path):
+        _, models, _, _ = small
+        g = models.global_model
+        blob = bytearray(model_blob(g))
+        count = struct.pack("<I", len(g.weights)) + struct.pack("<2I", *g.weights[0].shape)
+        at = blob.find(count)
+        assert at > 0 and blob.count(count) == 1
+        blob[at:at + 4] = struct.pack("<I", 0xFFFFFFFF)  # the model's CRC left as it was
+        (tmp_path / "count.dlmm").write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_model(tmp_path / "count.dlmm")
+        (tmp_path / "count.dlmc").write_bytes(with_global(models, bytes(blob)))
+        with pytest.raises(DataError, match=r"\[global\]: checksum mismatch"):
+            load_models(tmp_path / "count.dlmc")
 
     def test_stats_of_another_dimension(self, small, capsys):
         _, models, root, probes = small
