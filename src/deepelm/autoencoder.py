@@ -14,6 +14,10 @@ Every layer's activation is the sigmoid, ``deepelm.elm.activate``.
 Reconstruction applies it after every layer, including the last, so
 outputs always land in (0, 1)^d. Training data must therefore be
 normalized into [0, 1] first (see deepelm.normalize).
+
+Data are (d, s) matrices with one sample per column, so a single sample
+is a one-column matrix. Training also takes a list of column blocks that
+stands for their concatenation; a matrix is one block.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .elm import (
     activate,
+    all_finite,
     hidden_response,
     random_orthonormal_mapping,
     solve_orthogonal_procrustes,
@@ -66,26 +71,6 @@ def logit(p, out=None):
     return np.log(out, out=out)
 
 
-# From this many bytes on, a weight array is checked finite through its sum,
-# which allocates nothing, in place of the boolean mask, an eighth of its
-# bytes, that isfinite allocates. Below it the mask is faster; from about
-# 1 MiB on the two take the same time.
-_SUM_CHECK_BYTES = 1 << 20
-
-
-def _all_finite(W: np.ndarray) -> bool:
-    """Whether every entry of W is finite.
-
-    A finite sum proves it; only a sum that overflowed, or met a NaN or an
-    inf, needs the entrywise check.
-    """
-    if W.nbytes >= _SUM_CHECK_BYTES:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(W.sum()):
-                return True
-    return bool(np.isfinite(W).all())
-
-
 @dataclass(frozen=True)
 class LayerSpec:
     """Width, ridge tradeoff and seed for one auto-encoder layer."""
@@ -105,7 +90,7 @@ class LayerSpec:
 class DELMModel:
     """Trained deep ELM auto-encoder, or a stack of them.
 
-    weights[i] maps dims[i]-dimensional column vectors to dims[i+1], and
+    weights[i] maps dims[i]-dimensional columns to dims[i+1], and
     dims[0] == dims[-1] == the feature dimension. feature_stats records the
     normalization applied to the training data so probes can be mapped into
     the same range; it may be None for data trained in [0, 1] directly.
@@ -139,7 +124,7 @@ class DELMModel:
             expect = (*stack, self.dims[i + 1], self.dims[i])
             if W.shape != expect:
                 raise ValueError(f"weights[{i}] has shape {W.shape}, expected {expect}")
-            if not _all_finite(W):
+            if not all_finite(W):
                 raise ValueError(f"weights[{i}] contains non-finite entries")
 
     @property
@@ -167,19 +152,19 @@ def check_training_data(X) -> np.ndarray:
     return X
 
 
-def _training_input(X) -> tuple:
-    """(source, matrix) for a training pass on X, a (d, s) matrix or a list
-    of (d, s_i) column blocks.
+def _training_input(X) -> tuple[list[np.ndarray], np.ndarray]:
+    """(blocks, matrix) for a training pass on X, a (d, s) matrix or a list
+    of (d, s_i) column blocks; a matrix is one block.
 
-    A matrix is its own source, used as it is. Blocks are concatenated, as
-    datasets.concat_features does, into a fresh matrix that the pass may
-    drop once its first layer's output exists; the blocks stay the source
-    that the decode targets are built from again.
+    A single block is the matrix, used as it is. Several are concatenated,
+    as datasets.concat_features does, into a fresh matrix that the pass may
+    drop once its first layer's output exists. The blocks stay the source
+    that the decode targets are built from.
     """
-    if isinstance(X, list):
-        return X, np.hstack(X, dtype=float)
-    X = np.asarray(X, dtype=float)
-    return X, X
+    blocks = X if isinstance(X, list) else [X]
+    if len(blocks) == 1:
+        return blocks, np.asarray(blocks[0], dtype=float)
+    return blocks, np.hstack(blocks, dtype=float)
 
 
 def _solve_layer(H: np.ndarray, X_in: np.ndarray, C: float) -> np.ndarray:
@@ -190,17 +175,14 @@ def _solve_layer(H: np.ndarray, X_in: np.ndarray, C: float) -> np.ndarray:
     return solve_ridge(H.T, X_in.T, C)
 
 
-def _solve_decode(source, H, final_C: float, stats: NormalizationStats | None) -> np.ndarray:
-    """Decode weights fitting logit-clamped X from H, so that the outer
-    sigmoid lands back on X, the source matrix or the concatenation of the
-    source blocks. Blocks are concatenated again into the targets buffer;
-    the clip and the logit are taken in that buffer."""
+def _solve_decode(blocks, H, final_C: float, stats: NormalizationStats | None) -> np.ndarray:
+    """Decode weights fitting logit-clamped X, the concatenation of blocks,
+    from H, so that the outer sigmoid lands back on X. The blocks are
+    concatenated into the targets buffer; the clip and the logit are taken
+    in that buffer."""
     eps = stats.epsilon if stats is not None else DEFAULT_EPSILON
-    if isinstance(source, list):
-        targets = np.hstack(source, dtype=float)
-        np.clip(targets, eps, 1.0 - eps, out=targets)
-    else:
-        targets = np.clip(source, eps, 1.0 - eps)
+    targets = np.hstack(blocks, dtype=float)
+    np.clip(targets, eps, 1.0 - eps, out=targets)
     logit(targets, out=targets)
     return solve_ridge(H.T, targets.T, final_C).T
 
@@ -241,13 +223,14 @@ def train_delm(
     hidden representation, so the closing sigmoid reproduces the inputs.
     specs may be empty, giving the degenerate single-matrix model.
 
-    A matrix is trained on as it is. Blocks are concatenated into a matrix
-    that is dropped once the first layer's output exists, and concatenated
-    again into the decode targets, so a pass over blocks holds at most two
-    sample-sized matrices at a time: a layer's input and its output, or the
-    last representation and the targets. Both forms give the same bits.
+    A matrix is one block. A single block is trained on as it is; several
+    are concatenated into a matrix that is dropped once the first layer's
+    output exists. The decode targets concatenate the blocks again, so a
+    pass holds at most two sample-sized matrices of its own at a time: a
+    layer's input and its output, or the last representation and the
+    targets. Both forms give the same bits.
     """
-    X, H = _training_input(X)
+    blocks, H = _training_input(X)
     check_training_data(H)
     if not (np.isfinite(final_C) and final_C > 0):
         raise ValueError(f"final_C must be positive and finite, got {final_C}")
@@ -256,7 +239,7 @@ def train_delm(
     for spec in specs:
         W, H = train_ae_layer(H, spec)
         weights.append(W)
-    weights.append(_solve_decode(X, H, final_C, feature_stats))
+    weights.append(_solve_decode(blocks, H, final_C, feature_stats))
     dims = (d, *(spec.width for spec in specs), d)
     return DELMModel(weights=weights, dims=dims, feature_stats=feature_stats)
 
@@ -275,7 +258,7 @@ def refit_delm(
     each as soon as it is solved, so a caller can store it before the next
     layer is solved.
     """
-    X, H = _training_input(X)
+    blocks, H = _training_input(X)
     for G, C in zip(model.weights[:-1], layer_C):
         R = G @ H
         W = _solve_layer(activate(R, out=R), H, C)
@@ -283,26 +266,23 @@ def refit_delm(
         yield W
         out = W @ H
         H = activate(out, out=out)
-    yield _solve_decode(X, H, layer_C[-1], model.feature_stats)
+    yield _solve_decode(blocks, H, layer_C[-1], model.feature_stats)
 
 
-def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:
-    """Pass x through every layer: g(W_last ... g(W_1 x)).
+def reconstruct(model: DELMModel, X: np.ndarray) -> np.ndarray:
+    """Pass the (d, s) matrix X through every layer: g(W_last ... g(W_1 X)).
 
-    Accepts a (d,) vector or a (d, s) matrix; the output matches the input
-    shape with every entry in (0, 1). A stack of k models prepends an axis
-    of length k. Each layer of a stack is one batched matmul, and each
-    model's result is bit for bit the one it gives reconstructing alone.
-    The layers write their products, and activate them in place, into two
-    buffers taken in turn, each allocated once per call.
+    A sample is a one-column matrix. The output has X's shape, with every
+    entry in (0, 1); a stack of k models prepends an axis of length k.
+    Each layer of a stack is one batched matmul, and each model's result is
+    bit for bit the one it gives reconstructing alone. The layers write
+    their products, and activate them in place, into two buffers taken in
+    turn, each allocated once per call.
     """
-    H = np.asarray(x, dtype=float)
-    vec = H.ndim == 1
-    if vec:
-        H = H[:, None]
+    H = np.asarray(X, dtype=float)
     if H.ndim != 2 or H.shape[0] != model.input_dim:
         raise ValueError(
-            f"input of shape {np.shape(x)} incompatible with model dimension {model.input_dim}"
+            f"input of shape {H.shape} incompatible with model dimension {model.input_dim}"
         )
     s = H.shape[1]
     # a layer of width w outputs per_unit * w elements; buffer j serves the
@@ -314,21 +294,14 @@ def reconstruct(model: DELMModel, x: np.ndarray) -> np.ndarray:
         shape = (*W.shape[:-1], s)
         out = buffers[i % 2][: math.prod(shape)].reshape(shape)
         H = activate(np.matmul(W, H, out=out), out=out)
-    return H[..., 0] if vec else H
+    return H
 
 
-def reconstruction_error(model: DELMModel, x: np.ndarray):
-    """Squared Euclidean distance between x and its reconstruction.
-
-    Returns a scalar for a (d,) vector or a (s,) array for a (d, s) matrix;
-    a stack of k models prepends an axis of length k.
-    """
-    x = np.asarray(x, dtype=float)
-    vec = x.ndim == 1
-    X = x[:, None] if vec else x
+def reconstruction_error(model: DELMModel, X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between each column of the (d, s) matrix
+    X and its reconstruction, as an (s,) array; a stack of k models
+    prepends an axis of length k."""
+    X = np.asarray(X, dtype=float)
     diff = reconstruct(model, X)
     np.subtract(X, diff, out=diff)
-    err = np.einsum("...ij,...ij->...j", diff, diff)
-    if not vec:
-        return err
-    return float(err[0]) if err.ndim == 1 else err[..., 0]
+    return np.einsum("...ij,...ij->...j", diff, diff)

@@ -4,10 +4,11 @@ Training learns one global auto-encoder over the whole gallery, then one
 model per class that keeps the global weights as its fixed feature
 mappings and re-solves every layer's output weights on that class's
 samples alone; train_all writes each class's weights straight into the
-class stack. classify_set labels a probe set: each sample goes to the
-class whose model reconstructs it with the smallest squared error, and
-the set takes the majority vote of its samples' labels. A single sample
-is classified as a one-column set.
+class stack. ClassModels holds the global model and that stack, as
+training and a loaded bundle both give them. classify_set labels a probe
+set: each sample goes to the class whose model reconstructs it with the
+smallest squared error, and the set takes the majority vote of its
+samples' labels. A single sample is classified as a one-column set.
 
 Tie rules (both deterministic): a per-sample error tie goes to the label
 that sorts first; a vote tie goes to the tied label with the smallest
@@ -16,7 +17,6 @@ summed reconstruction error over its voting samples, then to sort order.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,39 +114,6 @@ class ClassModels:
                 f"models with dims {stack.dims} do not match the configured "
                 f"widths {self.config.layer_widths}"
             )
-
-    @classmethod
-    def from_models(
-        cls,
-        global_model: DELMModel,
-        per_class: Mapping[str, DELMModel],
-        config: TrainConfig,
-    ) -> ClassModels:
-        """Stack one model per class label, in sorted label order.
-
-        Each class model must have the global model's dims and carry its
-        feature stats, since the stack keeps them only once, on the global
-        model. The stacks are allocated first, and each model is looked up
-        once and copied into them before the next lookup, so a mapping
-        that builds its models on lookup never has more than one alive.
-        """
-        if not per_class:
-            raise ValueError("per-class models missing")
-        labels = tuple(sorted(per_class))
-        stacks = [np.empty((len(labels), *W.shape)) for W in global_model.weights]
-        for k, lab in enumerate(labels):
-            model = per_class[lab]
-            if model.dims != global_model.dims:
-                raise ValueError(
-                    f"class '{lab}' has dims {model.dims}, the global model {global_model.dims}"
-                )
-            if not _same_stats(model.feature_stats, global_model.feature_stats):
-                raise ValueError(f"class '{lab}' has feature stats other than the global model's")
-            for layer, W in zip(stacks, model.weights):
-                layer[k] = W
-            del model, W  # before the next lookup builds the next model
-        stack = DELMModel(weights=stacks, dims=global_model.dims)
-        return cls(global_model, labels, stack, config)
 
     @property
     def feature_dim(self) -> int:
@@ -246,18 +213,6 @@ def train_all(
             layer[k] = W
     class_stack = DELMModel(weights=stacks, dims=global_model.dims)
     return ClassModels(global_model, labels, class_stack, config)
-
-
-def _same_stats(a: NormalizationStats | None, b: NormalizationStats | None) -> bool:
-    if a is b:
-        return True
-    return (
-        a is not None
-        and b is not None
-        and a.epsilon == b.epsilon
-        and a.lo.tobytes() == b.lo.tobytes()
-        and a.hi.tobytes() == b.hi.tobytes()
-    )
 
 
 def classify_set(probe: ImageSet, models: ClassModels) -> SetPrediction:

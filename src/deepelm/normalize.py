@@ -52,16 +52,16 @@ def compute_stats(X: np.ndarray) -> NormalizationStats:
 
 
 def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Map features into [epsilon, 1 - epsilon] using fixed stats.
+    """Map the (d, s) feature matrix X into [epsilon, 1 - epsilon] using
+    fixed stats; a single sample is a one-column matrix.
 
-    Accepts a (d, s) matrix or a single (d,) vector. Out-of-range values
-    clamp to the interval ends; a constant dimension (hi == lo) maps to 0.5.
-    The mapping runs in place in the result, with one temporary.
+    Out-of-range values clamp to the interval ends; a constant dimension
+    (hi == lo) maps to 0.5. The mapping runs in place in the result, with
+    one temporary.
     """
     X = np.asarray(X, dtype=float)
-    vec = X.ndim == 1
-    if vec:
-        X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError(f"expected a (d, s) feature matrix, got shape {X.shape}")
     if X.shape[0] != stats.dim:
         raise ValueError(
             f"feature dimension {X.shape[0]} does not match stats dimension {stats.dim}"
@@ -82,7 +82,7 @@ def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     out *= 1.0 - eps
     out += low
     np.clip(out, eps, 1.0 - eps, out=out)
-    return out[:, 0] if vec else out
+    return out
 
 
 def normalize_features(X: np.ndarray) -> tuple[np.ndarray, NormalizationStats]:

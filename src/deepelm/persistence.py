@@ -5,17 +5,15 @@ tag, dims list, optional normalization stats, then each weight matrix as
 row-major float64 with an explicit (rows, cols) header. The tag, here and
 in a bundle's config, is always ``sigmoid``, the one activation the models
 use; a file with any other tag does not load. The stats block opens with
-a presence byte and, when present, a per-dimension byte, then epsilon, d
-and the d-length lo and hi, whose length must be the model's input
-dimension. The per-dimension byte is written as 1; a 0, which marked one
-global range repeated d times, still loads as the same stats. Any other
-value of either byte does not load.
+a presence byte, 0 or 1, and, when it is 1, a per-dimension byte, which
+must be 1, then epsilon, d and the d-length lo and hi, whose length must
+be the model's input dimension.
 
-Bundle container ("DLMC"): the training config, the ordered class labels
-and the global model as a DLMM blob, which carries the feature stats.
-Version 2 then holds each layer of the per-class models as one row-major
-float64 (c, rows, cols) array with its shape header. Version 1, which is
-still read, held one DLMM blob per class instead.
+Bundle container ("DLMC", version 2): the training config, the ordered
+class labels and the global model as a DLMM blob, which carries the
+feature stats, then each layer of the per-class models as one row-major
+float64 (c, rows, cols) array with its shape header. Only version 2 is
+read.
 
 Everything is little-endian with a trailing CRC32; round-trips are
 bit-exact. A file that does not decode to a valid model raises DataError.
@@ -60,7 +58,6 @@ MODEL_MAGIC = b"DLMM"
 BUNDLE_MAGIC = b"DLMC"
 MODEL_FORMAT_VERSION = 1
 BUNDLE_FORMAT_VERSION = 2
-BUNDLE_FORMAT_VERSIONS = (1, 2)
 ACTIVATION_TAG = "sigmoid"
 
 
@@ -95,26 +92,24 @@ def _stats_parts(stats: NormalizationStats | None) -> list[Buffer]:
 
 
 def _read_stats(r: Reader) -> NormalizationStats | None:
-    """The stats a stats block holds, or None."""
+    """The stats a stats block holds, or None.
+
+    A bad flag byte raises DataError once the rest of r's container passed
+    its CRC (see Reader.fail).
+    """
     present = r.u8("stats presence flag")
-    _check_stats_flag(r, "presence", present)
+    if present not in (0, 1):
+        r.fail(f"stats presence flag {present}, expected 0 or 1")
     if not present:
         return None
-    # A per-dimension byte of 0 once marked one global range, still held
-    # as full-length lo and hi, so it reads as the same stats as 1.
-    _check_stats_flag(r, "per-dimension", r.u8("stats per-dimension flag"))
+    per_dimension = r.u8("stats per-dimension flag")
+    if per_dimension != 1:
+        r.fail(f"stats per-dimension flag {per_dimension}, expected 1")
     eps = r.f64("stats epsilon")
     d = r.count("stats d", 16)  # lo and hi
     lo = r.f64_array((d,), "stats lo")
     hi = r.f64_array((d,), "stats hi")
     return NormalizationStats(lo=lo, hi=hi, epsilon=eps)
-
-
-def _check_stats_flag(r: Reader, name: str, value: int) -> None:
-    """Raise DataError on a flag byte other than 0 or 1, once the rest of
-    r's container passed its CRC (see Reader.fail)."""
-    if value not in (0, 1):
-        r.fail(f"stats {name} flag {value}, expected 0 or 1")
 
 
 def pack_model(model: DELMModel) -> list[Buffer]:
@@ -201,7 +196,7 @@ def save_models(path: str | Path, models: ClassModels) -> None:
 
 
 def load_models(path: str | Path) -> ClassModels:
-    """Read a classifier bundle of format version 1 or 2."""
+    """Read a classifier bundle, which must be of format version 2."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"model file not found: {path}")
@@ -210,7 +205,7 @@ def load_models(path: str | Path) -> ClassModels:
         magic, version = r.unpack("<4sI", "bundle magic and version")
         if magic != BUNDLE_MAGIC:
             raise DataError(f"{source}: not a classifier bundle (bad magic {magic!r})")
-        if version not in BUNDLE_FORMAT_VERSIONS:
+        if version != BUNDLE_FORMAT_VERSION:
             raise DataError(f"{source}: unsupported bundle format version {version}")
         with _decoding(source):
             config = _read_config(r)
@@ -218,15 +213,6 @@ def load_models(path: str | Path) -> ClassModels:
             labels = [r.text(f"label {k}") for k in range(nlabels)]
             size = r.count("global model length", 1, "<Q")
             global_model = unpack_model(r.sealed(size, f"{source}[global]"))
-            if version == 1:
-                per_class = {}
-                for lab in labels:
-                    size = r.count(f"class {lab!r} model length", 1, "<Q")
-                    per_class[lab] = unpack_model(r.sealed(size, f"{source}[{lab}]"))
-                unseal(r)
-                if len(per_class) != len(labels):
-                    raise ValueError(f"duplicate class labels {labels}")
-                return ClassModels.from_models(global_model, per_class, config)
             stacks = [
                 _read_array(r, f"class stack layer {i}", 3)
                 for i in range(len(global_model.weights))

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logit
 
 import deepelm.autoencoder as ae
+import deepelm.elm as elm
 from deepelm import (
     DELMModel,
     LayerSpec,
@@ -158,8 +159,9 @@ def weakref_inputs(monkeypatch):
 @pytest.mark.parametrize("sizes", [(9,), (5, 9, 4)], ids=["one-block", "three-blocks"])
 @pytest.mark.parametrize("order", ["C", "F"])
 class TestColumnBlocks:
-    """A list of column blocks trains as their np.hstack does, bit for bit,
-    and a pass over blocks drops the concatenation after its first layer."""
+    """A list of column blocks trains as their np.hstack does, bit for bit.
+    A pass over several blocks drops their concatenation after its first
+    layer; a single block, or a matrix, is used as it is."""
 
     def test_train_delm_equals_the_concatenation(self, order, sizes):
         blocks = column_blocks(order, sizes)
@@ -183,13 +185,17 @@ class TestColumnBlocks:
         self, order, sizes, monkeypatch
     ):
         blocks = column_blocks(order, sizes)
+        # a single block is never copied: it is the caller's, and stays alive
+        one = len(blocks) == 1
         calls = weakref_inputs(monkeypatch)
         model = train_delm(blocks, specs_for([12, 7]), final_C=1e12)
-        assert [alive for _, alive in calls] == [True, False]
+        assert (calls[0][0]() is blocks[0]) == one
+        assert [alive for _, alive in calls] == [True, one]
         calls.clear()
         list(ae.refit_delm(model, blocks, (1e6, 1e6, 1e10)))
-        assert [alive for _, alive in calls] == [True, False]
-        # a matrix is the caller's, and stays alive
+        assert (calls[0][0]() is blocks[0]) == one
+        assert [alive for _, alive in calls] == [True, one]
+        # a matrix is one block
         X = np.hstack(blocks)
         calls.clear()
         train_delm(X, specs_for([12, 7]), final_C=1e12)
@@ -219,13 +225,13 @@ class TestReconstruct:
         model = DELMModel(
             weights=[np.zeros((4, 6)), np.zeros((6, 4))], dims=(6, 4, 6)
         )
-        x = np.random.default_rng(0).random(6)
-        assert np.all(reconstruct(model, x) == 0.5)
+        X = np.random.default_rng(0).random((6, 3))
+        assert np.all(reconstruct(model, X) == 0.5)
 
     def test_single_matrix_logit_fit_reproduces_vector(self):
         # degenerate depth-0 model: one decode matrix fitted on x itself
-        x = np.array([0.2, 0.4, 0.5, 0.6, 0.8])
-        model = train_delm(x[:, None], [], final_C=1e18)
+        x = np.array([[0.2], [0.4], [0.5], [0.6], [0.8]])
+        model = train_delm(x, [], final_C=1e18)
         assert model.dims == (5, 5)
         assert np.abs(reconstruct(model, x) - x).max() <= 1e-3
 
@@ -235,8 +241,8 @@ class TestReconstruct:
         model = train_delm(X, specs_for([4]), final_C=1e12)
         batch = reconstruct(model, X)
         for j in range(20):
-            col = reconstruct(model, X[:, j])
-            assert np.abs(batch[:, j] - col).max() <= 1e-12
+            col = reconstruct(model, X[:, j : j + 1])
+            assert np.abs(batch[:, j] - col[:, 0]).max() <= 1e-12
 
     def test_output_stays_in_open_unit_interval(self):
         rng = np.random.default_rng(14)
@@ -248,15 +254,19 @@ class TestReconstruct:
 
     def test_dim_mismatch_rejected(self):
         model = DELMModel(weights=[np.zeros((3, 5)), np.zeros((5, 3))], dims=(5, 3, 5))
-        with pytest.raises(ValueError, match="incompatible"):
-            reconstruct(model, np.zeros(4))
+        # a (d,) vector is not a sample: a sample is a (d, 1) column
+        for x in (np.zeros((4, 2)), np.zeros(5), np.zeros((2, 5, 1))):
+            with pytest.raises(ValueError, match="incompatible"):
+                reconstruct(model, x)
+            with pytest.raises(ValueError, match="incompatible"):
+                reconstruction_error(model, x)
 
 
 class TestReconstructionError:
     def test_zero_for_exact_match(self):
         model = DELMModel(weights=[np.zeros((3, 4)), np.zeros((4, 3))], dims=(4, 3, 4))
-        x = np.full(4, 0.5)
-        assert reconstruction_error(model, x) == 0.0
+        x = np.full((4, 1), 0.5)
+        assert reconstruction_error(model, x).tolist() == [0.0]
 
     def test_stack_gives_each_models_errors_bit_for_bit(self):
         rng = np.random.default_rng(17)
@@ -271,10 +281,8 @@ class TestReconstructionError:
         assert reconstruct(stack, X).shape == (2, 6, 9)
         for k, model in enumerate(models):
             assert errs[k].tobytes() == reconstruction_error(model, X).tobytes()
-        vec = reconstruction_error(stack, X[:, 3])
-        column = reconstruction_error(stack, X[:, 3:4])
-        assert vec.shape == (2,) and vec.tobytes() == column[:, 0].tobytes()
-        assert reconstruct(stack, X[:, 3]).shape == (2, 6)
+        assert reconstruction_error(stack, X[:, 3:4]).shape == (2, 1)
+        assert reconstruct(stack, X[:, 3:4]).shape == (2, 6, 1)
 
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(15)
@@ -282,7 +290,7 @@ class TestReconstructionError:
         model = train_delm(X, specs_for([3]), final_C=1e10)
         errs = reconstruction_error(model, X)
         for j in range(8):
-            xhat = reconstruct(model, X[:, j])
+            xhat = reconstruct(model, X[:, j : j + 1])[:, 0]
             expect = sum((X[i, j] - xhat[i]) ** 2 for i in range(6))
             assert errs[j] == pytest.approx(expect, rel=1e-10)
 
@@ -328,7 +336,7 @@ class TestModelValidation:
     def test_non_finite_entries_rejected_without_warnings(self, bad, n):
         W = np.zeros((2, n, n))
         W.flat[: len(bad)] = bad
-        assert (W.nbytes >= ae._SUM_CHECK_BYTES) == (n == 256)
+        assert (W.nbytes >= elm._SUM_CHECK_BYTES) == (n == 256)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"weights\[1\] contains non-finite"):

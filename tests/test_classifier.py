@@ -31,7 +31,7 @@ from deepelm import (
 )
 from deepelm.autoencoder import logit as ae_logit
 from deepelm.datasets import concat_features
-from deepelm.normalize import DEFAULT_EPSILON, apply_stats, compute_stats
+from deepelm.normalize import DEFAULT_EPSILON, apply_stats
 
 
 def constant_output_model(d: int, value: float, width: int = 3) -> DELMModel:
@@ -43,9 +43,12 @@ def constant_output_model(d: int, value: float, width: int = 3) -> DELMModel:
 
 
 def constant_models(d: int, values: dict[str, float]) -> ClassModels:
-    per_class = {lab: constant_output_model(d, v) for lab, v in values.items()}
-    any_model = next(iter(per_class.values()))
-    return ClassModels.from_models(any_model, per_class, small_config(widths=(3,)))
+    """One constant-output model per label, stacked in sorted label order."""
+    labels = tuple(sorted(values))
+    models = [constant_output_model(d, values[lab]) for lab in labels]
+    layers = [np.stack(layer) for layer in zip(*(m.weights for m in models))]
+    stack = DELMModel(layers, models[0].dims)
+    return ClassModels(models[0], labels, stack, small_config(widths=(3,)))
 
 
 def derive_label(errors: np.ndarray, labels) -> str:
@@ -197,10 +200,7 @@ class TestTrainClassSpecific:
         global_model = train_global(norm, cfg)
         x = norm.sets[0].features[:, :1]
         refit = train_class_specific(global_model, ImageSet(x, "a", "a"), cfg)
-        assert (
-            reconstruction_error(refit, x[:, 0])
-            <= reconstruction_error(global_model, x[:, 0]) + 1e-9
-        )
+        assert reconstruction_error(refit, x) <= reconstruction_error(global_model, x) + 1e-9
 
     def test_inherits_architecture(self):
         gallery = make_blob_gallery(classes=2, sets_per_class=1, samples_per_set=8,
@@ -332,9 +332,8 @@ class TestClassifySample:
     def test_tie_breaks_to_first_sorted_label(self):
         d = 5
         shared = constant_output_model(d, 0.5)
-        models = ClassModels.from_models(
-            shared, {"beta": shared, "alpha": shared}, small_config(widths=(3,))
-        )
+        stack = DELMModel([np.stack([W, W]) for W in shared.weights], shared.dims)
+        models = ClassModels(shared, ("alpha", "beta"), stack, small_config(widths=(3,)))
         label, errors = self.classify_one(np.full(d, 0.3), models)
         assert label == "alpha"
         assert errors[0] == errors[1]
@@ -454,16 +453,6 @@ class TestStackedInference:
         _, _, _, models = five_classes
         assert models.class_stack.feature_stats is None
         assert models.feature_stats is models.global_model.feature_stats
-
-    def test_class_stats_must_match_global(self):
-        d = 4
-        plain = constant_output_model(d, 0.5)
-        stats = compute_stats(np.random.default_rng(0).random((d, 5)))
-        with_stats = DELMModel(weights=plain.weights, dims=plain.dims, feature_stats=stats)
-        with pytest.raises(ValueError, match="feature stats"):
-            ClassModels.from_models(
-                with_stats, {"a": with_stats, "b": plain}, small_config(widths=(3,))
-            )
 
     def test_labels_must_be_sorted(self):
         models = constant_models(4, {"a": 0.2, "b": 0.7})

@@ -73,20 +73,27 @@ class TestNormalization:
         X = np.vstack([np.full(4, 3.3), np.arange(4.0)])
         out, stats = normalize_features(X)
         assert np.all(out[0] == 0.5)
-        probe = apply_stats(np.array([9.9, 2.0]), stats)
-        assert probe[0] == 0.5
+        probe = apply_stats(np.array([[9.9], [2.0]]), stats)
+        assert probe[0, 0] == 0.5
 
     def test_vector_apply_matches_matrix(self):
+        # a sample is a one-column matrix, mapped as its column of a matrix
         rng = np.random.default_rng(2)
         X = rng.normal(size=(4, 10))
         _, stats = normalize_features(X)
-        v = rng.normal(size=4)
-        assert np.array_equal(apply_stats(v, stats), apply_stats(v[:, None], stats)[:, 0])
+        P = rng.normal(size=(4, 6))
+        whole = apply_stats(P, stats)
+        for j in range(6):
+            assert np.array_equal(apply_stats(P[:, j : j + 1], stats)[:, 0], whole[:, j])
 
     def test_stats_dimension_checked(self):
         _, stats = normalize_features(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dimension"):
             apply_stats(np.zeros((4, 2)), stats)
+        # a (3,) vector would broadcast into a (3, 3) result
+        for X in (np.zeros(3), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError, match=r"expected a \(d, s\) feature matrix"):
+                apply_stats(X, stats)
 
     def test_rejects_nonfinite(self):
         X = np.ones((2, 2))

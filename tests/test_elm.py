@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import deepelm.elm as elm
 from deepelm import (
     HiddenLayerParams,
     NumericError,
@@ -378,6 +379,23 @@ class TestOrthogonalProcrustes:
     def test_rejects_mismatched_columns(self):
         with pytest.raises(ValueError, match="equal column counts"):
             solve_orthogonal_procrustes(np.ones((4, 3)), np.ones((4, 2)))
+
+
+# 512 x 256 float64 is 1 MiB, from which size on an operand is checked
+# finite through its sum before its entries
+@pytest.mark.parametrize("rows", [8, 512], ids=["small", "above_sum_check"])
+@pytest.mark.parametrize("operand", [0, 1], ids=["H", "T"])
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+def test_solvers_reject_non_finite_inputs_without_warnings(rows, operand, bad):
+    ops = [np.full((rows, 256), 0.5), np.full((rows, 256), 0.25)]
+    ops[operand].flat[-len(bad):] = bad
+    assert (ops[operand].nbytes >= elm._SUM_CHECK_BYTES) == (rows == 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ridge solve rejects non-finite"):
+            solve_ridge(*ops, 1.0)
+        with pytest.raises(ValueError, match="orthogonal solve rejects non-finite"):
+            solve_orthogonal_procrustes(*ops)
 
 
 def fit_elm(X, T, n_h, C, seed):

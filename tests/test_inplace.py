@@ -6,10 +6,7 @@ a fresh array. The in-place library must give the same bits on every
 input layout, and training must stay within a fixed memory budget.
 """
 
-import gc
 import tracemalloc
-import weakref
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -24,7 +21,6 @@ from deepelm import (
     reconstruct,
     reconstruction_error,
     train_all,
-    train_class_specific,
 )
 from deepelm.autoencoder import logit
 from deepelm.datasets import concat_features
@@ -44,18 +40,16 @@ def hidden_response_ref(params, X):
     return sigmoid_ref(params.W @ X + params.b[:, None])
 
 
-def reconstruct_ref(model, x):
-    H = x[:, None] if x.ndim == 1 else x
+def reconstruct_ref(model, X):
+    H = X
     for W in model.weights:
         H = sigmoid_ref(W @ H)
-    return H[..., 0] if x.ndim == 1 else H
+    return H
 
 
-def reconstruction_error_ref(model, x):
-    X = x[:, None] if x.ndim == 1 else x
+def reconstruction_error_ref(model, X):
     diff = X - reconstruct_ref(model, X)
-    err = np.einsum("...ij,...ij->...j", diff, diff)
-    return err[..., 0] if x.ndim == 1 else err
+    return np.einsum("...ij,...ij->...j", diff, diff)
 
 
 def apply_stats_ref(X, stats):
@@ -120,7 +114,8 @@ def test_hidden_response_matches_oracle(order):
 def test_reconstruct_and_error_match_oracle(trained, which, shape, order):
     model = models_of(trained)[which]
     X = probe_matrix(trained, order)
-    x = X[:, 2] if shape == "vector" else X
+    # a lone sample is a column vector, a one-column matrix
+    x = X[:, 2:3] if shape == "vector" else X
     before = np.array(x)
     same_bits(reconstruct(model, x), reconstruct_ref(model, x))
     same_bits(reconstruction_error(model, x), reconstruction_error_ref(model, x))
@@ -171,66 +166,14 @@ class TestOutArgument:
         same_bits(p, fresh)
 
 
-class LookupOnce(Mapping):
-    """Hands out a copy of each model once, and records what is still alive."""
-
-    def __init__(self, models: dict):
-        self.models = models
-        self.looked_up: list[str] = []
-        self.alive_at_lookup: list[int] = []
-        self.handed_out: list[weakref.ref] = []
-
-    def __getitem__(self, label):
-        assert label not in self.looked_up, f"'{label}' looked up twice"
-        gc.collect()
-        self.alive_at_lookup.append(sum(ref() is not None for ref in self.handed_out))
-        self.looked_up.append(label)
-        m = self.models[label]
-        copy = DELMModel(
-            weights=[W.copy() for W in m.weights], dims=m.dims, feature_stats=m.feature_stats
-        )
-        self.handed_out.append(weakref.ref(copy))
-        return copy
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __len__(self):
-        return len(self.models)
-
-
-def test_from_models_streams_each_model_into_the_stack(trained):
-    gallery, models = trained
-    norm, _ = normalize_gallery(gallery)
-    per_class = {}
-    for label in reversed(norm.classes):
-        X = concat_features([s for s in norm.sets if s.label == label])
-        per_class[label] = train_class_specific(
-            models.global_model, ImageSet(X, label, label), models.config
-        )
-    lookups = LookupOnce(per_class)
-    built = ClassModels.from_models(models.global_model, lookups, models.config)
-    labels = sorted(per_class)
-    assert lookups.looked_up == labels
-    # the model handed out before each lookup was already dropped
-    assert lookups.alive_at_lookup == [0] * len(labels)
-    for got, layer in zip(built.class_stack.weights, zip(*(per_class[k].weights for k in labels))):
-        same_bits(got, np.stack(layer))
-    # train_all streams its class models into the same stacks
-    for got, want in zip(models.class_stack.weights, built.class_stack.weights):
-        same_bits(got, want)
-
-
-def test_from_models_rejects_a_model_of_other_dims(trained):
+def test_class_models_reject_a_stack_of_other_dims(trained):
     _, models = trained
-    g = models.global_model
     narrower = DELMModel(
-        weights=[np.zeros((4, 10)), np.zeros((5, 4)), np.zeros((10, 5))],
+        weights=[np.zeros((3, 4, 10)), np.zeros((3, 5, 4)), np.zeros((3, 10, 5))],
         dims=(10, 4, 5, 10),
-        feature_stats=g.feature_stats,
     )
-    with pytest.raises(ValueError, match="dims"):
-        ClassModels.from_models(g, {"a": narrower, "b": narrower}, models.config)
+    with pytest.raises(ValueError, match=r"class models with dims \(10, 4, 5, 10\) differ"):
+        ClassModels(models.global_model, models.class_labels, narrower, models.config)
 
 
 def test_training_peak_memory_stays_within_budget():

@@ -19,7 +19,6 @@ from deepelm import (
     DELMModel,
     DataError,
     ImageSet,
-    SynthParams,
     TrainConfig,
     classify_set,
     load_image_sets,
@@ -29,7 +28,6 @@ from deepelm import (
     save_gallery,
     save_model,
     save_models,
-    synth_generate,
     train_all,
     train_delm,
 )
@@ -42,14 +40,10 @@ from deepelm.normalize import NormalizationStats
 from deepelm.persistence import _array_parts, _pack_config, _read_config, pack_model
 
 DATA = Path(__file__).resolve().parent / "data"
-# Written by the format-1 bundle writer (commit dd5caa4) from
-# SynthParams(classes=2, sets_per_class=2, samples_per_set=6, feature_dim=5,
-# seed=3), normalized, and TrainConfig(layer_widths=(3, 3), seed=3); the
-# .npz holds that writer's in-memory weights and stats, keyed
-# "<label>/<layer>", "global/<layer>" and "stats/lo", "stats/hi".
+# A bundle of format version 1, which held one DLMM blob per class, written
+# by the format-1 bundle writer (commit dd5caa4). Only version 2 is read, so
+# it stays as an input that must be refused.
 V1_FIXTURE = DATA / "bundle_v1_c2_d5.dlmc"
-V1_WEIGHTS = DATA / "bundle_v1_c2_d5_weights.npz"
-V1_GALLERY = SynthParams(classes=2, sets_per_class=2, samples_per_set=6, feature_dim=5, seed=3)
 
 
 def models_equal(a, b):
@@ -92,20 +86,18 @@ def large(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def probe_manifest(tmp_path_factory):
-    """Probe manifests matching the bundle (d=9), the v1 fixture (d=5) and
-    the large bundle (d=200)."""
+    """Probe manifests matching the bundle (d=9) and the large bundle (d=200)."""
     root = tmp_path_factory.mktemp("probes")
     blobs = make_blob_gallery(classes=3, sets_per_class=2, samples_per_set=6, dim=9, seed=31)
     wide = make_blob_gallery(classes=4, sets_per_class=2, samples_per_set=20, dim=200, seed=8)
     return {
         9: save_gallery(blobs.sets[:2], root / "d9"),
-        5: save_gallery(synth_generate(V1_GALLERY).sets[:2], root / "d5"),
         200: save_gallery(wide.sets[:2], root / "d200"),
     }
 
 
 def class_model(models, k: int) -> DELMModel:
-    """Class k's model alone, as the format-1 bundle stored it."""
+    """Class k's model alone, with the global model's feature stats."""
     return DELMModel(
         weights=[W[k] for W in models.class_stack.weights],
         dims=models.class_stack.dims,
@@ -141,27 +133,22 @@ def bundle_bytes(version: int, config: bytes, labels, global_blob: bytes, body: 
     return sealed(out + struct.pack("<Q", len(global_blob)) + global_blob + body)
 
 
-def v1_bundle(models, class_blobs=None) -> bytes:
-    """models in the format-1 layout: one length-prefixed DLMM blob per class."""
-    if class_blobs is None:
-        class_blobs = [model_blob(class_model(models, k)) for k in range(len(models.class_labels))]
-    body = b"".join(struct.pack("<Q", len(blob)) + blob for blob in class_blobs)
-    return bundle_bytes(
-        1, _pack_config(models.config), models.class_labels, model_blob(models.global_model), body
-    )
-
-
 def with_global(models, global_blob: bytes) -> bytes:
     """The version-2 bundle of models with global_blob as its global model."""
     body = b"".join(part for W in models.class_stack.weights for part in _array_parts(W))
     return bundle_bytes(2, _pack_config(models.config), models.class_labels, global_blob, body)
 
 
+def stats_flags_at(model: DELMModel) -> int:
+    """Offset of the stats presence byte in the DLMM payload of model."""
+    return 8 + len(pack_text("sigmoid")) + 4 + 4 * len(model.dims)
+
+
 def with_stats_flags(model: DELMModel, present: int, per_dimension: int) -> bytes:
     """The DLMM blob of model, which has stats, with its two stats flag
     bytes set as given, resealed."""
     payload = bytearray(unsealed(model_blob(model)))
-    at = 8 + len(pack_text("sigmoid")) + 4 + 4 * len(model.dims)
+    at = stats_flags_at(model)
     assert payload[at:at + 2] == b"\x01\x01"
     payload[at:at + 2] = bytes([present, per_dimension])
     return sealed(bytes(payload))
@@ -247,6 +234,11 @@ class TestBundleContainer:
         bad.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="checksum mismatch"):
             load_models(bad)
+
+    def test_version_1_rejected(self, probe_manifest, tmp_path, capsys):
+        with pytest.raises(DataError, match="unsupported bundle format version 1$"):
+            load_models(V1_FIXTURE)
+        assert classify_exit(V1_FIXTURE, probe_manifest[9], tmp_path, capsys) == 2
 
     def test_future_version_rejected(self, bundle, tmp_path):
         _, path = bundle
@@ -341,9 +333,9 @@ class TestCopyFreeIO:
         models, path = bundle
         assert path.read_bytes() == oracle_bundle(models)
 
-    @pytest.mark.parametrize("source", ["v2", "v1"])
+    @pytest.mark.parametrize("source", ["v2"])
     def test_loaded_arrays_are_fresh_aligned_writable(self, bundle, source):
-        models = load_models(bundle[1] if source == "v2" else V1_FIXTURE)
+        models = load_models(bundle[1])
         for a in loaded_arrays(models):
             assert a.dtype == np.float64
             assert a.flags.aligned and a.flags.writeable and a.flags.c_contiguous
@@ -384,57 +376,6 @@ class TestCopyFreeIO:
             models_equal(models.class_stack, back.class_stack)
 
 
-class TestFormatVersion1:
-    def test_fixture_loads_to_the_writers_tensors(self):
-        models = load_models(V1_FIXTURE)
-        ref = np.load(V1_WEIGHTS)
-        assert models.class_labels == ("class00", "class01")
-        for i, stack in enumerate(models.class_stack.weights):
-            expect = np.stack([ref[f"{lab}/{i}"] for lab in models.class_labels])
-            assert stack.shape == expect.shape == (2, *expect.shape[1:])
-            assert stack.dtype == np.float64 and stack.flags.c_contiguous
-            assert stack.tobytes() == expect.tobytes()
-        for i, W in enumerate(models.global_model.weights):
-            assert W.tobytes() == ref[f"global/{i}"].tobytes()
-        assert models.feature_stats.lo.tobytes() == ref["stats/lo"].tobytes()
-        assert models.feature_stats.hi.tobytes() == ref["stats/hi"].tobytes()
-        assert models.class_stack.feature_stats is None
-
-    def test_fixture_classifies_its_gallery(self):
-        models = load_models(V1_FIXTURE)
-        for s in synth_generate(V1_GALLERY).sets:
-            assert classify_set(s, models).set_label == s.label
-
-    def test_resave_writes_version_2_with_same_tensors(self, tmp_path):
-        models = load_models(V1_FIXTURE)
-        path = tmp_path / "v2.dlmc"
-        save_models(path, models)
-        assert struct.unpack("<I", path.read_bytes()[4:8]) == (2,)
-        back = load_models(path)
-        models_equal(models.global_model, back.global_model)
-        models_equal(models.class_stack, back.class_stack)
-
-    def test_written_layout_loads_to_same_stacks(self, bundle, tmp_path):
-        models, _ = bundle
-        path = tmp_path / "v1.dlmc"
-        path.write_bytes(v1_bundle(models))
-        back = load_models(path)
-        models_equal(models.class_stack, back.class_stack)
-        models_equal(models.global_model, back.global_model)
-
-    def test_per_class_stats_must_match_global(self, bundle, tmp_path):
-        models, _ = bundle
-        stats = models.feature_stats
-        shifted = NormalizationStats(lo=stats.lo - 1.0, hi=stats.hi, epsilon=stats.epsilon)
-        blobs = [model_blob(class_model(models, k)) for k in range(3)]
-        odd = class_model(models, 1)
-        blobs[1] = model_blob(DELMModel(weights=odd.weights, dims=odd.dims, feature_stats=shifted))
-        path = tmp_path / "stats.dlmc"
-        path.write_bytes(v1_bundle(models, blobs))
-        with pytest.raises(DataError, match="feature stats"):
-            load_models(path)
-
-
 class TestMalformedContents:
     """Fields that decode but are invalid raise DataError at load, and the
     CLI reports them as input errors (exit 2)."""
@@ -469,14 +410,6 @@ class TestMalformedContents:
         bad.write_bytes(with_global(models, retag(model_blob(models.global_model), "relu")))
         self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
 
-    def test_unknown_class_activation_in_version_1(self, bundle, probe_manifest, tmp_path, capsys):
-        models, _ = bundle
-        blobs = [model_blob(class_model(models, k)) for k in range(3)]
-        blobs[2] = retag(blobs[2], "relu")
-        bad = tmp_path / "relu1.dlmc"
-        bad.write_bytes(v1_bundle(models, blobs))
-        self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
-
     def test_unknown_config_activation(self, bundle, probe_manifest, tmp_path, capsys):
         models, path = bundle
         config = _pack_config(models.config)
@@ -500,8 +433,12 @@ class TestMalformedContents:
 
     @pytest.mark.parametrize(
         "flags, match",
-        [((2, 1), "stats presence flag 2"), ((1, 2), "stats per-dimension flag 2")],
-        ids=["presence", "per-dimension"],
+        [
+            ((2, 1), "stats presence flag 2, expected 0 or 1"),
+            ((1, 2), "stats per-dimension flag 2, expected 1"),
+            ((1, 0), "stats per-dimension flag 0, expected 1"),
+        ],
+        ids=["presence", "per-dimension", "per-dimension-0"],
     )
     def test_bad_stats_flag(self, flags, match, bundle, probe_manifest, tmp_path, capsys):
         models, _ = bundle
@@ -513,20 +450,6 @@ class TestMalformedContents:
         bad = tmp_path / "flags.dlmc"
         bad.write_bytes(with_global(models, blob))
         self.check(bad, probe_manifest[9], tmp_path, capsys, match)
-
-    def test_per_dimension_flag_0_loads_the_same_stats(self, bundle, tmp_path):
-        # A 0 marked one global range, whose lo and hi were full length
-        # too; it loads as a 1 does, and a resave writes 1.
-        models, _ = bundle
-        path = tmp_path / "global0.dlmm"
-        path.write_bytes(with_stats_flags(models.global_model, 1, 0))
-        loaded = load_model(path)
-        models_equal(loaded, models.global_model)
-        save_model(path, loaded)
-        assert path.read_bytes() == model_blob(models.global_model)
-        path = tmp_path / "global0.dlmc"
-        path.write_bytes(with_global(models, with_stats_flags(models.global_model, 1, 0)))
-        models_equal(load_models(path).global_model, models.global_model)
 
     def test_checksum_reported_before_a_bad_stats_flag(self, bundle, tmp_path):
         models, _ = bundle
@@ -559,20 +482,17 @@ class TestMalformedContents:
 
 
 def blob_spans(payload: bytes) -> list[tuple[int, int]]:
-    """(start, end) of every length-prefixed DLMM blob in a bundle payload."""
+    """[(start, end)] of the global model's DLMM blob in a bundle payload."""
     r = Reader(io.BytesIO(payload), len(payload) + 4, "bundle")
-    _, version = r.unpack("<4sI", "magic and version")
+    r.unpack("<4sI", "magic and version")
     _read_config(r)
-    labels = [r.text("label") for _ in range(r.count("label count", 2))]
-    spans = []
-    for _ in range(1 + (len(labels) if version == 1 else 0)):
-        n = r.count("model length", 1, "<Q")
-        spans.append((r.pos, r.pos + n))
-        r.take(n, "model")
-    return spans
+    for k in range(r.count("label count", 2)):
+        r.text(f"label {k}")
+    n = r.count("global model length", 1, "<Q")
+    return [(r.pos, r.pos + n)]
 
 
-@pytest.mark.parametrize("fmt", ["v2", "v1"])
+@pytest.mark.parametrize("fmt", ["v2"])
 def test_seeded_byte_flips_fail_only_with_data_error(fmt, bundle, probe_manifest, tmp_path, capsys):
     """Flip one byte of a resealed bundle: the bundle CRC and every model
     CRC are recomputed, so only the decoder stands between the flip and the
@@ -580,13 +500,10 @@ def test_seeded_byte_flips_fail_only_with_data_error(fmt, bundle, probe_manifest
     2, or give models that classify, with the CLI exiting 0. Every byte of
     the header region is flipped once, then random bytes across the file.
     """
-    if fmt == "v2":
-        raw, manifest = bundle[1].read_bytes(), probe_manifest[9]
-    else:
-        raw, manifest = V1_FIXTURE.read_bytes(), probe_manifest[5]
-    payload = unsealed(raw)
+    manifest = probe_manifest[9]
+    payload = unsealed(bundle[1].read_bytes())
     spans = blob_spans(payload)
-    rng = np.random.default_rng(20 if fmt == "v2" else 10)
+    rng = np.random.default_rng(20)
     header = spans[0][0] + 64
     positions = [*range(header), *rng.integers(header, len(payload), 150).tolist()]
     probe = load_image_sets(manifest)[0]
@@ -641,7 +558,8 @@ def as_classifier(model: DELMModel) -> ClassModels:
     config = TrainConfig(
         hidden_layers=len(widths), layer_widths=widths, layer_C=(1.0,) * (len(widths) + 1)
     )
-    return ClassModels.from_models(model, {"a": model, "b": model}, config)
+    stack = DELMModel([np.stack([W, W]) for W in model.weights], model.dims)
+    return ClassModels(model, ("a", "b"), stack, config)
 
 
 # The message of a short read that named no field.
@@ -653,7 +571,9 @@ class TestLoadContract:
     changed to any of the values byte_mutants gives, with the file's CRC and
     the nested model's recomputed, a file either raises DataError or loads
     into something that classify_set runs on a probe of its dimension.
-    Array payload bytes are skipped: any value is legal there."""
+    Array payload bytes are skipped: any value is legal there. The stats
+    per-dimension byte of a model with stats must be 1: every other value
+    raises DataError naming it."""
 
     @pytest.fixture(scope="class")
     def small(self, tmp_path_factory):
@@ -691,6 +611,11 @@ class TestLoadContract:
         payload = unsealed(raw)
         spans = blob_spans(payload) if kind == "DLMC" else []
         skip = {p for _, end in spans for p in range(end - 4, end)}
+        per_dimension_at = None
+        if kind in ("DLMM", "DLMC"):
+            blob_at = spans[0][0] if spans else 0
+            per_dimension_at = blob_at + stats_flags_at(models.global_model) + 1
+            assert payload[per_dimension_at] == 1
         for a in arrays:
             data = np.ascontiguousarray(a, dtype="<f8").tobytes()
             assert payload.count(data) == 1
@@ -718,12 +643,15 @@ class TestLoadContract:
                         classify_set(probe_set, classifier)
                 except DataError as exc:
                     rejected += 1
+                    if pos == per_dimension_at:
+                        assert f"stats per-dimension flag {value}, expected 1" in str(exc)
                     # a count or length that runs past the payload is named
                     if UNNAMED_TRUNCATION.search(str(exc)):
                         unnamed.append((pos, value, str(exc)))
                     continue
                 except Exception as exc:
                     pytest.fail(f"{kind} byte {pos} set to {value}: {exc!r}")
+                assert pos != per_dimension_at, f"{kind} per-dimension flag {value} loaded"
                 loaded += 1
         print(f"{kind}: {rejected} rejected, {loaded} loaded, {len(unnamed)} unnamed")
         assert rejected > 0
@@ -779,7 +707,7 @@ class TestLoadContract:
         g = models.global_model
         bare = DELMModel(weights=g.weights, dims=g.dims)
         payload = bytearray(unsealed(model_blob(bare)))
-        at = 8 + len(pack_text("sigmoid")) + 4 + 4 * len(bare.dims)
+        at = stats_flags_at(bare)
         assert payload[at] == 0
         payload[at] = 2
         blob = sealed(bytes(payload))
