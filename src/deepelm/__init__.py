@@ -9,7 +9,6 @@ from .autoencoder import (
     LayerSpec,
     reconstruct,
     reconstruction_error,
-    train_ae_layer,
     train_delm,
 )
 from .classifier import (
@@ -39,8 +38,6 @@ from .elm import (
     random_orthonormal_mapping,
     solve_orthogonal_procrustes,
     solve_ridge,
-    solve_ridge_overdetermined,
-    solve_ridge_underdetermined,
 )
 from .errors import ConfigError, DataError, DelmError, NumericError
 from .harness import (
@@ -101,13 +98,10 @@ __all__ = [
     "save_models",
     "solve_orthogonal_procrustes",
     "solve_ridge",
-    "solve_ridge_overdetermined",
-    "solve_ridge_underdetermined",
     "split_folds",
     "subsample_sets",
     "synth_generate",
     "train_all",
-    "train_ae_layer",
     "train_class_specific",
     "train_delm",
     "train_global",

@@ -10,6 +10,10 @@ of ridge regression. The final matrix decodes the last hidden
 representation back to input space; it is fitted against logit-transformed
 inputs so that the sigmoid applied after it reproduces the data.
 
+The global model and every class model run one layer loop. A global
+layer's fixed feature mapping is random orthonormal; a class layer's is
+the global model's trained layer, with no bias.
+
 Every layer's activation is the sigmoid, ``deepelm.elm.activate``.
 Reconstruction applies it after every layer, including the last, so
 outputs always land in (0, 1)^d. Training data must therefore be
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from .elm import (
     solve_orthogonal_procrustes,
     solve_ridge,
 )
-from .normalize import DEFAULT_EPSILON, NormalizationStats
+from .normalize import EPSILON, NormalizationStats
 
 
 # Elements of 1 - p that logit forms at a time (64 KB).
@@ -175,37 +180,48 @@ def _solve_layer(H: np.ndarray, X_in: np.ndarray, C: float) -> np.ndarray:
     return solve_ridge(H.T, X_in.T, C)
 
 
-def _solve_decode(blocks, H, final_C: float, stats: NormalizationStats | None) -> np.ndarray:
+def _solve_decode(blocks, H, final_C: float) -> np.ndarray:
     """Decode weights fitting logit-clamped X, the concatenation of blocks,
     from H, so that the outer sigmoid lands back on X. The blocks are
     concatenated into the targets buffer; the clip and the logit are taken
     in that buffer."""
-    eps = stats.epsilon if stats is not None else DEFAULT_EPSILON
     targets = np.hstack(blocks, dtype=float)
-    np.clip(targets, eps, 1.0 - eps, out=targets)
+    np.clip(targets, EPSILON, 1.0 - EPSILON, out=targets)
     logit(targets, out=targets)
     return solve_ridge(H.T, targets.T, final_C).T
 
 
-def train_ae_layer(X_in: np.ndarray, spec: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Train one auto-encoder layer on the (d_in, s) representation X_in.
+def _fit_layers(blocks, H, responses, layer_C) -> Iterator[np.ndarray]:
+    """Yield each layer's forward weights W as soon as they are solved,
+    then the decode weights; the next layer's input is g(W @ H).
 
-    The pre-solve feature mapping is random orthonormal. The output
-    weights that project the mapped responses back onto X_in are solved in
-    closed form and reused, in column-operator form, as the layer's forward
-    weights W of shape (spec.width, d_in). Returns (W, g(W @ X_in)).
+    responses gives, per hidden layer, a function from the layer's input
+    to the response of its fixed feature mapping. layer_C holds one
+    tradeoff per hidden layer, then the decode's. H is the concatenation
+    of blocks; with no reference left elsewhere, it is dropped once the
+    first layer's output exists.
     """
-    X_in = np.asarray(X_in, dtype=float)
-    if X_in.ndim != 2:
-        raise ValueError(f"expected (d, s) input, got shape {X_in.shape}")
-    mapping = random_orthonormal_mapping(X_in.shape[0], spec.width, spec.seed)
-    H = hidden_response(mapping, X_in)
-    W = _solve_layer(H, X_in, spec.C)
-    # Drop the hidden response before the forward product takes its place,
-    # so the layer never holds two (width, s) buffers.
-    del H
-    out = W @ X_in
-    return W, activate(out, out=out)
+    for response, C in zip(responses, layer_C):
+        R = response(H)
+        W = _solve_layer(R, H, C)
+        # Drop the response before the forward product takes its place, so
+        # the layer never holds two (width, s) buffers.
+        del R
+        yield W
+        out = W @ H
+        H = activate(out, out=out)
+    yield _solve_decode(blocks, H, layer_C[-1])
+
+
+def _random_response(spec: LayerSpec, X: np.ndarray) -> np.ndarray:
+    """Response to X of a fresh random orthonormal mapping drawn for spec."""
+    return hidden_response(random_orthonormal_mapping(X.shape[0], spec.width, spec.seed), X)
+
+
+def _fixed_response(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """g(G @ X): the response of a trained layer G, with no bias."""
+    R = G @ X
+    return activate(R, out=R)
 
 
 def train_delm(
@@ -218,7 +234,8 @@ def train_delm(
 
     X is a (d, s) matrix with entries in [0, 1], or a list of (d, s_i)
     column blocks that stand for their concatenation. Layers are trained
-    sequentially, each on the forward representation of the previous one.
+    sequentially, each on the forward representation of the previous one,
+    with a random orthonormal feature mapping drawn from its spec's seed.
     The final weight matrix is a ridge fit of logit-clamped X from the last
     hidden representation, so the closing sigmoid reproduces the inputs.
     specs may be empty, giving the degenerate single-matrix model.
@@ -235,13 +252,11 @@ def train_delm(
     if not (np.isfinite(final_C) and final_C > 0):
         raise ValueError(f"final_C must be positive and finite, got {final_C}")
     d = H.shape[0]
-    weights: list[np.ndarray] = []
-    for spec in specs:
-        W, H = train_ae_layer(H, spec)
-        weights.append(W)
-    weights.append(_solve_decode(blocks, H, final_C, feature_stats))
+    responses = (partial(_random_response, spec) for spec in specs)
+    layers = _fit_layers(blocks, H, responses, [*(spec.C for spec in specs), final_C])
+    del H  # so that the loop drops a concatenation after the first layer
     dims = (d, *(spec.width for spec in specs), d)
-    return DELMModel(weights=weights, dims=dims, feature_stats=feature_stats)
+    return DELMModel(weights=list(layers), dims=dims, feature_stats=feature_stats)
 
 
 def refit_delm(
@@ -258,15 +273,8 @@ def refit_delm(
     each as soon as it is solved, so a caller can store it before the next
     layer is solved.
     """
-    blocks, H = _training_input(X)
-    for G, C in zip(model.weights[:-1], layer_C):
-        R = G @ H
-        W = _solve_layer(activate(R, out=R), H, C)
-        del R
-        yield W
-        out = W @ H
-        H = activate(out, out=out)
-    yield _solve_decode(blocks, H, layer_C[-1], model.feature_stats)
+    responses = (partial(_fixed_response, G) for G in model.weights[:-1])
+    return _fit_layers(*_training_input(X), responses, layer_C)
 
 
 def reconstruct(model: DELMModel, X: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 An ELM fixes a random hidden-layer mapping and learns only the output
 weights, in closed form. This module provides the activation (the
 sigmoid, the only one the models use), the random orthonormal feature
-mapping, the two ridge-regression closed forms (primal for more samples
-than hidden units, dual otherwise), and the orthogonal Procrustes solver
-used when input and layer widths coincide.
+mapping, the ridge-regression solver (its primal closed form when there
+are at least as many samples as hidden units, its dual form otherwise),
+and the orthogonal Procrustes solver used when input and layer widths
+coincide.
 
 All numerics run on NumPy: dense linear algebra on its LAPACK, and the
 sigmoid on its ufuncs. SciPy is not imported at run time: it ships its own
@@ -149,7 +150,17 @@ def all_finite(A: np.ndarray) -> bool:
     return bool(np.isfinite(A).all())
 
 
-def _checked_ridge_inputs(H, T, C) -> tuple[np.ndarray, np.ndarray]:
+def solve_ridge(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
+    """Ridge output weights B for the (N, n) design H and targets T.
+
+    With N >= n the primal form solves (HtH + I/C) B = HtT. Otherwise the
+    dual form solves (HHt + I/C) A = T and returns B = Ht A, in the row
+    space of H (the minimum-norm family). The Gram matrix is solved by LU,
+    never inverted. At very large C the ridge term 1/C cannot lift a
+    rank-deficient Gram matrix off singularity, and the solve fails or
+    overflows; minimum-norm least squares, the C -> infinity limit of the
+    ridge (Huang et al. 2012), then stands in for it.
+    """
     H = np.asarray(H, dtype=float)
     T = np.asarray(T, dtype=float)
     if H.ndim != 2 or T.ndim != 2:
@@ -162,77 +173,28 @@ def _checked_ridge_inputs(H, T, C) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"tradeoff C must be a positive finite scalar, got {C!r}")
     if not (all_finite(H) and all_finite(T)):
         raise ValueError("ridge solve rejects non-finite inputs")
-    return H, T
-
-
-def _lu_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve A x = rhs by pivoted LU, or return None when A is singular."""
+    primal = H.shape[0] >= H.shape[1]
+    gram = H.T @ H if primal else H @ H.T
+    gram.flat[:: gram.shape[0] + 1] += 1.0 / C
     try:
-        return np.linalg.solve(A, rhs)
+        B = np.linalg.solve(gram, H.T @ T) if primal else H.T @ np.linalg.solve(gram, T)
     except np.linalg.LinAlgError:
-        return None
-
-
-def _finite_or_lstsq(B: np.ndarray | None, H: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """B if it is finite, else the minimum-norm least-squares weights.
-
-    At very large C the ridge term 1/C cannot lift a rank-deficient Gram
-    matrix off singularity, and its solve fails or overflows. Minimum-norm
-    least squares is the C -> infinity limit of the ridge (Huang et al.
-    2012), so it stands in for the failed solve.
-    """
-    if B is not None and all_finite(B):
-        return B
-    B = np.linalg.lstsq(H, T, rcond=None)[0]
-    if not all_finite(B):
-        raise NumericError("ridge solve produced non-finite output weights")
+        B = None
+    if B is None or not all_finite(B):
+        B = np.linalg.lstsq(H, T, rcond=None)[0]
+        if not all_finite(B):
+            raise NumericError("ridge solve produced non-finite output weights")
     return B
 
 
-def solve_ridge_overdetermined(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
-    """Output weights solving (HtH + I/C) B = HtT.
-
-    Intended for N >= n_h. The regularized Gram matrix is solved directly
-    by LU; it is never inverted explicitly. If that solve fails, the
-    minimum-norm least-squares weights are returned instead.
-    """
-    H, T = _checked_ridge_inputs(H, T, C)
-    gram = H.T @ H
-    gram.flat[:: gram.shape[0] + 1] += 1.0 / C
-    return _finite_or_lstsq(_lu_solve(gram, H.T @ T), H, T)
-
-
-def solve_ridge_underdetermined(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
-    """Output weights B = Ht (HHt + I/C)^-1 T for the N < n_h regime.
-
-    Solving the small N x N system by LU and left-multiplying by Ht keeps B
-    in the row space of H (the minimum-norm family). If that solve fails,
-    the minimum-norm least-squares weights are returned instead.
-    """
-    H, T = _checked_ridge_inputs(H, T, C)
-    gram = H @ H.T
-    gram.flat[:: gram.shape[0] + 1] += 1.0 / C
-    A = _lu_solve(gram, T)
-    return _finite_or_lstsq(None if A is None else H.T @ A, H, T)
-
-
-def solve_ridge(H: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
-    """Ridge output weights, dispatching on the sample/feature ratio."""
-    H = np.asarray(H, dtype=float)
-    if H.ndim == 2 and H.shape[0] >= H.shape[1]:
-        return solve_ridge_overdetermined(H, T, C)
-    return solve_ridge_underdetermined(H, T, C)
-
-
 class ProcrustesResult(NamedTuple):
-    """Orthogonal output weights plus rank diagnostics.
+    """Orthogonal output weights plus a rank diagnostic.
 
     degenerate is True when the smallest singular value of HtT falls below
     1e-12, in which case the optimum is well-defined but not unique.
     """
 
     B: np.ndarray
-    min_singular_value: float
     degenerate: bool
 
 
@@ -254,4 +216,4 @@ def solve_orthogonal_procrustes(H: np.ndarray, T: np.ndarray) -> ProcrustesResul
         raise ValueError("orthogonal solve rejects non-finite inputs")
     U, s, Vt = np.linalg.svd(H.T @ T)
     smin = float(s[-1]) if s.size else 0.0
-    return ProcrustesResult(B=U @ Vt, min_singular_value=smin, degenerate=smin < 1e-12)
+    return ProcrustesResult(B=U @ Vt, degenerate=smin < 1e-12)

@@ -2,11 +2,11 @@
 
 Deep models reconstruct through a final sigmoid, so training features must
 live strictly inside (0, 1). Each feature dimension is mapped affinely,
-from its own training minimum and maximum, into [epsilon, 1 - epsilon]
-with epsilon = DEFAULT_EPSILON; probe-time values outside the training
-range clamp to that interval. The stats computed at training time, their
-epsilon included, travel with the trained model and are reused verbatim
-for probes.
+from its own training minimum and maximum, into [EPSILON, 1 - EPSILON];
+probe-time values outside the training range clamp to that interval. The
+stats computed at training time travel with the trained model and are
+reused verbatim for probes. EPSILON is a constant of the format: a saved
+model records it, and a file with any other value does not load.
 """
 
 from __future__ import annotations
@@ -15,20 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_EPSILON = 1e-6
+EPSILON = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class NormalizationStats:
-    """Per-dimension minima/maxima and the clamping epsilon."""
+    """Per-dimension minima/maxima."""
 
     lo: np.ndarray
     hi: np.ndarray
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("stats lo/hi must be matching 1-d arrays")
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
@@ -52,7 +49,7 @@ def compute_stats(X: np.ndarray) -> NormalizationStats:
 
 
 def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Map the (d, s) feature matrix X into [epsilon, 1 - epsilon] using
+    """Map the (d, s) feature matrix X into [EPSILON, 1 - EPSILON] using
     fixed stats; a single sample is a one-column matrix.
 
     Out-of-range values clamp to the interval ends; a constant dimension
@@ -73,15 +70,14 @@ def apply_stats(X: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     out /= safe[:, None]
     out[flat, :] = 0.5
     np.clip(out, 0.0, 1.0, out=out)
-    eps = stats.epsilon
     # The convex combination (1 - u) eps + u (1 - eps) hits the interval
     # ends exactly at u = 0 and 1. Its terms are rounded as written, and
     # their sum does not depend on their order.
     low = np.subtract(1.0, out)
-    low *= eps
-    out *= 1.0 - eps
+    low *= EPSILON
+    out *= 1.0 - EPSILON
     out += low
-    np.clip(out, eps, 1.0 - eps, out=out)
+    np.clip(out, EPSILON, 1.0 - EPSILON, out=out)
     return out
 
 

@@ -6,8 +6,9 @@ row-major float64 with an explicit (rows, cols) header. The tag, here and
 in a bundle's config, is always ``sigmoid``, the one activation the models
 use; a file with any other tag does not load. The stats block opens with
 a presence byte, 0 or 1, and, when it is 1, a per-dimension byte, which
-must be 1, then epsilon, d and the d-length lo and hi, whose length must
-be the model's input dimension.
+must be 1, then epsilon as a float64, which must be
+``deepelm.normalize.EPSILON`` (1e-6), d and the d-length lo and hi, whose
+length must be the model's input dimension.
 
 Bundle container ("DLMC", version 2): the training config, the ordered
 class labels and the global model as a DLMM blob, which carries the
@@ -52,7 +53,7 @@ from .fileio import (
     unseal,
     write_atomic,
 )
-from .normalize import NormalizationStats
+from .normalize import EPSILON, NormalizationStats
 
 MODEL_MAGIC = b"DLMM"
 BUNDLE_MAGIC = b"DLMC"
@@ -87,15 +88,15 @@ def _read_array(r: Reader, field: str, ndim: int = 2) -> np.ndarray:
 def _stats_parts(stats: NormalizationStats | None) -> list[Buffer]:
     if stats is None:
         return [struct.pack("<B", 0)]
-    head = struct.pack("<BBdI", 1, 1, stats.epsilon, stats.dim)
+    head = struct.pack("<BBdI", 1, 1, EPSILON, stats.dim)
     return [head, f64_view(stats.lo), f64_view(stats.hi)]
 
 
 def _read_stats(r: Reader) -> NormalizationStats | None:
     """The stats a stats block holds, or None.
 
-    A bad flag byte raises DataError once the rest of r's container passed
-    its CRC (see Reader.fail).
+    A bad flag byte, or an epsilon other than EPSILON, raises DataError
+    once the rest of r's container passed its CRC (see Reader.fail).
     """
     present = r.u8("stats presence flag")
     if present not in (0, 1):
@@ -106,10 +107,12 @@ def _read_stats(r: Reader) -> NormalizationStats | None:
     if per_dimension != 1:
         r.fail(f"stats per-dimension flag {per_dimension}, expected 1")
     eps = r.f64("stats epsilon")
+    if eps != EPSILON:
+        r.fail(f"stats epsilon {eps!r}, expected {EPSILON!r}")
     d = r.count("stats d", 16)  # lo and hi
     lo = r.f64_array((d,), "stats lo")
     hi = r.f64_array((d,), "stats hi")
-    return NormalizationStats(lo=lo, hi=hi, epsilon=eps)
+    return NormalizationStats(lo=lo, hi=hi)
 
 
 def pack_model(model: DELMModel) -> list[Buffer]:

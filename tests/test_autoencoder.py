@@ -14,7 +14,6 @@ from deepelm import (
     random_orthonormal_mapping,
     reconstruct,
     reconstruction_error,
-    train_ae_layer,
     train_delm,
 )
 
@@ -28,20 +27,25 @@ def specs_for(widths, seed=0, C=1e6):
     return [LayerSpec(width=w, C=C, seed=seed + i) for i, w in enumerate(widths)]
 
 
+def first_layer(X, spec):
+    """The forward weights of a one-hidden-layer model's layer, as trained."""
+    model = train_delm(X, [spec], final_C=1e12)
+    assert model.dims == (X.shape[0], spec.width, X.shape[0])
+    return model.weights[0]
+
+
 class TestTrainAeLayer:
     def test_square_layer_uses_orthogonal_solution(self):
         rng = np.random.default_rng(1)
         X = unit_box_data(rng, 4, 30)
-        W, H = train_ae_layer(X, LayerSpec(width=4, C=1e6, seed=3))
+        W = first_layer(X, LayerSpec(width=4, C=1e6, seed=3))
         assert np.abs(W.T @ W - np.eye(4)).max() <= 1e-10
-        assert H.shape == (4, 30)
 
     def test_ridge_branch_shape(self):
         rng = np.random.default_rng(2)
         X = unit_box_data(rng, 10, 50)
-        W, H = train_ae_layer(X, LayerSpec(width=3, C=1e6, seed=3))
+        W = first_layer(X, LayerSpec(width=3, C=1e6, seed=3))
         assert W.shape == (3, 10)
-        assert H.shape == (3, 50)
 
     def test_low_rank_data_reconstructs_better_than_full_rank(self):
         rng = np.random.default_rng(7)
@@ -51,7 +55,7 @@ class TestTrainAeLayer:
         spec = LayerSpec(width=2, C=1e6, seed=11)
 
         def residual(X):
-            W, _ = train_ae_layer(X, spec)
+            W = first_layer(X, spec)
             psi = hidden_response(random_orthonormal_mapping(5, 2, spec.seed), X)
             return np.linalg.norm(X - W.T @ psi)
 

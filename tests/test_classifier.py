@@ -31,7 +31,7 @@ from deepelm import (
 )
 from deepelm.autoencoder import logit as ae_logit
 from deepelm.datasets import concat_features
-from deepelm.normalize import DEFAULT_EPSILON, apply_stats
+from deepelm.normalize import EPSILON, apply_stats
 
 
 def constant_output_model(d: int, value: float, width: int = 3) -> DELMModel:
@@ -142,9 +142,7 @@ def refit_oracle(global_model: DELMModel, X: np.ndarray, config: TrainConfig) ->
             W = solve_ridge(psi.T, H.T, C)
         weights.append(W)
         H = activate(W @ H)
-    stats = global_model.feature_stats
-    eps = stats.epsilon if stats is not None else DEFAULT_EPSILON
-    targets = ae_logit(np.clip(X, eps, 1.0 - eps))
+    targets = ae_logit(np.clip(X, EPSILON, 1.0 - EPSILON))
     weights.append(solve_ridge(H.T, targets.T, config.final_C).T)
     return weights
 

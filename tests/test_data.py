@@ -36,7 +36,7 @@ from deepelm.datasets import (
     parse_manifest,
     save_feature_matrix,
 )
-from deepelm.normalize import DEFAULT_EPSILON, NormalizationStats
+from deepelm.normalize import EPSILON
 
 
 class TestNormalization:
@@ -48,12 +48,11 @@ class TestNormalization:
     def test_codomain_is_closed_eps_interval(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(6, 40)) * 13 - 4
-        out, stats = normalize_features(X)
-        eps = stats.epsilon
-        assert out.min() >= eps and out.max() <= 1 - eps
+        out, _ = normalize_features(X)
+        assert out.min() >= EPSILON and out.max() <= 1 - EPSILON
         # per-dimension extremes are attained exactly
-        assert np.allclose(out.min(axis=1), eps)
-        assert np.allclose(out.max(axis=1), 1 - eps)
+        assert np.allclose(out.min(axis=1), EPSILON)
+        assert np.allclose(out.max(axis=1), 1 - EPSILON)
 
     def test_renormalizing_with_own_stats_is_identity(self):
         rng = np.random.default_rng(1)
@@ -66,8 +65,8 @@ class TestNormalization:
         X = np.array([[0.0, 10.0]])
         _, stats = normalize_features(X)
         probe = apply_stats(np.array([[20.0, -5.0]]), stats)
-        assert probe[0, 0] == pytest.approx(1 - stats.epsilon)
-        assert probe[0, 1] == pytest.approx(stats.epsilon)
+        assert probe[0, 0] == pytest.approx(1 - EPSILON)
+        assert probe[0, 1] == pytest.approx(EPSILON)
 
     def test_constant_dimension_maps_to_half(self):
         X = np.vstack([np.full(4, 3.3), np.arange(4.0)])
@@ -101,18 +100,14 @@ class TestNormalization:
         with pytest.raises(ValueError, match="non-finite"):
             normalize_features(X)
 
-    def test_epsilon_validated(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            NormalizationStats(lo=np.zeros(2), hi=np.ones(2), epsilon=0.7)
-
     @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_codomain_property(self, seed, d, s):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(d, s)) * rng.uniform(0.1, 50)
         out, _ = normalize_features(X)
-        assert out.min() >= DEFAULT_EPSILON - 1e-15
-        assert out.max() <= 1 - DEFAULT_EPSILON + 1e-15
+        assert out.min() >= EPSILON - 1e-15
+        assert out.max() <= 1 - EPSILON + 1e-15
 
 
 class TestSynthGenerate:
@@ -408,7 +403,7 @@ class TestNormalizeGallery:
         )
         norm, stats = normalize_gallery(g)
         X = np.hstack([s.features for s in norm.sets])
-        assert X.min() >= stats.epsilon and X.max() <= 1 - stats.epsilon
+        assert X.min() >= EPSILON and X.max() <= 1 - EPSILON
         # reapplying the same stats to the raw sets reproduces the output
         for raw, cooked in zip(g.sets, norm.sets):
             assert np.array_equal(apply_stats(raw.features, stats), cooked.features)

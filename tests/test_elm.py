@@ -17,8 +17,6 @@ from deepelm import (
     random_orthonormal_mapping,
     solve_orthogonal_procrustes,
     solve_ridge,
-    solve_ridge_overdetermined,
-    solve_ridge_underdetermined,
 )
 
 
@@ -171,15 +169,15 @@ def diag_indices_ridge(H, T, C):
 
 class TestRidgeSolvers:
     def test_identity_system(self):
-        n = 6
-        B = solve_ridge_overdetermined(np.eye(n), np.eye(n), 1e12)
+        n = 6  # N = n: the primal form
+        B = solve_ridge(np.eye(n), np.eye(n), 1e12)
         assert np.abs(B - np.eye(n)).max() <= 1e-10
 
     def test_overdetermined_matches_oracle(self):
         rng = np.random.default_rng(11)
         H = rng.normal(size=(20, 5))
         T = rng.normal(size=(20, 2))
-        B = solve_ridge_overdetermined(H, T, 10.0)
+        B = solve_ridge(H, T, 10.0)  # N > n: the primal form
         Bo = normal_equation_oracle(H, T, 10.0)
         assert np.linalg.norm(B - Bo) <= 1e-9 * np.linalg.norm(Bo)
 
@@ -201,7 +199,7 @@ class TestRidgeSolvers:
         assert np.linalg.norm(tiny) <= 1e-6 * np.linalg.norm(unit)
 
     def test_minimum_norm_interpolant(self):
-        B = solve_ridge_underdetermined(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0]]), 1e12)
+        B = solve_ridge(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0]]), 1e12)
         assert np.abs(B - np.array([[1.0], [0.0], [0.0]])).max() <= 1e-6
 
     def test_underdetermined_stationarity(self):
@@ -209,7 +207,7 @@ class TestRidgeSolvers:
         H = rng.normal(size=(4, 10))
         T = rng.normal(size=(4, 3))
         C = 100.0
-        B = solve_ridge_underdetermined(H, T, C)
+        B = solve_ridge(H, T, C)  # N < n: the dual form
         resid = np.linalg.norm(B - C * (H.T @ (T - H @ B)))
         assert resid <= 1e-8 * (1.0 + np.linalg.norm(B))
 
@@ -217,31 +215,24 @@ class TestRidgeSolvers:
         rng = np.random.default_rng(19)
         H = rng.normal(size=(4, 10))
         T = rng.normal(size=(4, 2))
-        B = solve_ridge_underdetermined(H, T, 100.0)
+        B = solve_ridge(H, T, 100.0)
         import scipy.linalg
 
         null = scipy.linalg.null_space(H)
         assert np.abs(null.T @ B).max() <= 1e-10
 
-    def test_dispatch_matches_branches(self):
-        rng = np.random.default_rng(23)
-        H = rng.normal(size=(20, 5))
-        T = rng.normal(size=(20, 2))
-        assert np.array_equal(solve_ridge(H, T, 3.0), solve_ridge_overdetermined(H, T, 3.0))
-        H = rng.normal(size=(4, 10))
-        T = rng.normal(size=(4, 2))
-        assert np.array_equal(solve_ridge(H, T, 3.0), solve_ridge_underdetermined(H, T, 3.0))
-
     def test_square_path_equivalence(self):
+        # The dual form agrees with the primal form on a design that picks
+        # the dual: (HtH + I/C)^-1 HtT = Ht (HHt + I/C)^-1 T.
         rng = np.random.default_rng(29)
-        # well-conditioned square design: shifted random orthogonal mix
-        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        H = Q + 0.1 * rng.normal(size=(6, 6))
+        # well-conditioned wide design: a shifted random orthonormal mix
+        Q, _ = np.linalg.qr(rng.normal(size=(9, 6)))
+        H = Q.T + 0.1 * rng.normal(size=(6, 9))
         assert np.linalg.cond(H) < 1e6
         T = rng.normal(size=(6, 3))
-        over = solve_ridge_overdetermined(H, T, 10.0)
-        under = solve_ridge_underdetermined(H, T, 10.0)
-        rel = np.linalg.norm(over - under) / np.linalg.norm(over)
+        primal = np.linalg.solve(H.T @ H + np.eye(9) / 10.0, H.T @ T)
+        dual = solve_ridge(H, T, 10.0)
+        rel = np.linalg.norm(dual - primal) / np.linalg.norm(primal)
         assert rel <= 1e-8
 
     def test_perturbing_solution_never_improves_objective(self):
@@ -280,7 +271,7 @@ class TestRidgeMinimumNormFallback:
         col = rng.normal(size=(12, 1))
         H = np.hstack([col, col, rng.normal(size=(12, 2))])
         T = rng.normal(size=(12, 3))
-        B = solve_ridge_overdetermined(H, T, 1e18)
+        B = solve_ridge(H, T, 1e18)  # N > n: the primal form
         assert np.isfinite(B).all()
         assert np.allclose(B, np.linalg.pinv(H) @ T, rtol=1e-8, atol=1e-10)
 
@@ -289,7 +280,7 @@ class TestRidgeMinimumNormFallback:
         row = rng.normal(size=(1, 9))
         H = np.vstack([row, row, rng.normal(size=(2, 9))])
         T = rng.normal(size=(4, 2))
-        B = solve_ridge_underdetermined(H, T, 1e18)
+        B = solve_ridge(H, T, 1e18)  # N < n: the dual form
         assert np.isfinite(B).all()
         assert np.allclose(B, np.linalg.pinv(H) @ T, rtol=1e-8, atol=1e-10)
 
@@ -300,9 +291,9 @@ class TestRidgeMinimumNormFallback:
         monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
         H = np.ones((4, 2))
         with pytest.raises(NumericError, match="non-finite"):
-            solve_ridge_overdetermined(H, np.ones((4, 1)), 1e18)
+            solve_ridge(H, np.ones((4, 1)), 1e18)
         with pytest.raises(NumericError, match="non-finite"):
-            solve_ridge_underdetermined(H.T, np.ones((2, 1)), 1e18)
+            solve_ridge(H.T, np.ones((2, 1)), 1e18)
 
 
 NO_SCIPY_SCRIPT = """

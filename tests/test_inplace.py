@@ -25,6 +25,7 @@ from deepelm import (
 from deepelm.autoencoder import logit
 from deepelm.datasets import concat_features
 from deepelm.elm import activate, hidden_response, random_orthonormal_mapping
+from deepelm.normalize import EPSILON
 
 
 def sigmoid_ref(u):
@@ -59,9 +60,8 @@ def apply_stats_ref(X, stats):
     unit = (X - stats.lo[:, None]) / safe[:, None]
     unit[flat, :] = 0.5
     np.clip(unit, 0.0, 1.0, out=unit)
-    eps = stats.epsilon
-    out = (1.0 - unit) * eps + unit * (1.0 - eps)
-    np.clip(out, eps, 1.0 - eps, out=out)
+    out = (1.0 - unit) * EPSILON + unit * (1.0 - EPSILON)
+    np.clip(out, EPSILON, 1.0 - EPSILON, out=out)
     return out
 
 

@@ -57,7 +57,6 @@ def models_equal(a, b):
         assert b.feature_stats is not None
         assert a.feature_stats.lo.tobytes() == b.feature_stats.lo.tobytes()
         assert a.feature_stats.hi.tobytes() == b.feature_stats.hi.tobytes()
-        assert a.feature_stats.epsilon == b.feature_stats.epsilon
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +143,20 @@ def stats_flags_at(model: DELMModel) -> int:
     return 8 + len(pack_text("sigmoid")) + 4 + 4 * len(model.dims)
 
 
-def with_stats_flags(model: DELMModel, present: int, per_dimension: int) -> bytes:
+# The stats epsilon every DLMM holds, from the format description.
+FORMAT_EPSILON = 1e-6
+
+
+def with_stats_flags(
+    model: DELMModel, present: int, per_dimension: int, epsilon: float = FORMAT_EPSILON
+) -> bytes:
     """The DLMM blob of model, which has stats, with its two stats flag
-    bytes set as given, resealed."""
+    bytes and its stats epsilon set as given, resealed."""
     payload = bytearray(unsealed(model_blob(model)))
     at = stats_flags_at(model)
-    assert payload[at:at + 2] == b"\x01\x01"
-    payload[at:at + 2] = bytes([present, per_dimension])
+    head = struct.pack("<BBd", present, per_dimension, epsilon)
+    assert payload[at:at + len(head)] == struct.pack("<BBd", 1, 1, FORMAT_EPSILON)
+    payload[at:at + len(head)] = head
     return sealed(bytes(payload))
 
 
@@ -281,7 +287,7 @@ def oracle_model(model: DELMModel) -> bytes:
     if stats is None:
         out += b"\0"
     else:
-        out += struct.pack("<BBdI", 1, 1, stats.epsilon, stats.dim)
+        out += struct.pack("<BBdI", 1, 1, FORMAT_EPSILON, stats.dim)
         out += stats.lo.astype("<f8").tobytes() + stats.hi.astype("<f8").tobytes()
     out += struct.pack("<I", len(model.weights))
     out += b"".join(oracle_array(W) for W in model.weights)
@@ -406,23 +412,23 @@ class TestMalformedContents:
 
     def test_unknown_global_activation(self, bundle, probe_manifest, tmp_path, capsys):
         models, _ = bundle
-        bad = tmp_path / "relu.dlmc"
+        bad = tmp_path / "global_tag.dlmc"
         bad.write_bytes(with_global(models, retag(model_blob(models.global_model), "relu")))
-        self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
+        self.check(bad, probe_manifest[9], tmp_path, capsys, "unsupported activation 'relu'")
 
     def test_unknown_config_activation(self, bundle, probe_manifest, tmp_path, capsys):
         models, path = bundle
         config = _pack_config(models.config)
         relu = config.replace(pack_text("sigmoid"), pack_text("relu"), 1)
-        bad = tmp_path / "config_relu.dlmc"
+        bad = tmp_path / "config_tag.dlmc"
         bad.write_bytes(sealed(unsealed(path.read_bytes()).replace(config, relu, 1)))
-        self.check(bad, probe_manifest[9], tmp_path, capsys, "relu")
+        self.check(bad, probe_manifest[9], tmp_path, capsys, "unsupported activation 'relu'")
 
     def test_checksum_reported_before_the_tag(self, bundle, tmp_path):
         models, _ = bundle
         blob = bytearray(retag(model_blob(models.global_model), "relu"))
         blob[-5] ^= 0x01  # the last payload byte, in the decode weights
-        bad = tmp_path / "relu.dlmm"
+        bad = tmp_path / "tag.dlmm"
         bad.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="checksum mismatch"):
             load_model(bad)
@@ -432,17 +438,19 @@ class TestMalformedContents:
             load_models(bad)
 
     @pytest.mark.parametrize(
-        "flags, match",
+        "head, match",
         [
             ((2, 1), "stats presence flag 2, expected 0 or 1"),
             ((1, 2), "stats per-dimension flag 2, expected 1"),
             ((1, 0), "stats per-dimension flag 0, expected 1"),
+            ((1, 1, 1e-5), r"stats epsilon 1e-05, expected 1e-06"),
+            ((1, 1, float("nan")), r"stats epsilon nan, expected 1e-06"),
         ],
-        ids=["presence", "per-dimension", "per-dimension-0"],
+        ids=["presence", "per-dimension", "per-dimension-0", "epsilon", "epsilon-nan"],
     )
-    def test_bad_stats_flag(self, flags, match, bundle, probe_manifest, tmp_path, capsys):
+    def test_bad_stats_flag(self, head, match, bundle, probe_manifest, tmp_path, capsys):
         models, _ = bundle
-        blob = with_stats_flags(models.global_model, *flags)
+        blob = with_stats_flags(models.global_model, *head)
         bad = tmp_path / "flags.dlmm"
         bad.write_bytes(blob)
         with pytest.raises(DataError, match=match):
@@ -453,15 +461,16 @@ class TestMalformedContents:
 
     def test_checksum_reported_before_a_bad_stats_flag(self, bundle, tmp_path):
         models, _ = bundle
-        blob = bytearray(with_stats_flags(models.global_model, 7, 7))
-        blob[-5] ^= 0x01  # the last payload byte, in the decode weights
-        bad = tmp_path / "flags.dlmm"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="checksum mismatch"):
-            load_model(bad)
-        bad.write_bytes(with_global(models, bytes(blob)))
-        with pytest.raises(DataError, match=r"\[global\]: checksum mismatch"):
-            load_models(bad)
+        for head in ((7, 7), (1, 1, 1e-5)):
+            blob = bytearray(with_stats_flags(models.global_model, *head))
+            blob[-5] ^= 0x01  # the last payload byte, in the decode weights
+            bad = tmp_path / "flags.dlmm"
+            bad.write_bytes(bytes(blob))
+            with pytest.raises(DataError, match="checksum mismatch"):
+                load_model(bad)
+            bad.write_bytes(with_global(models, bytes(blob)))
+            with pytest.raises(DataError, match=r"\[global\]: checksum mismatch"):
+                load_models(bad)
 
     def test_negative_seed(self, bundle, probe_manifest, tmp_path, capsys):
         models, path = bundle
@@ -538,7 +547,7 @@ def byte_mutants(b: int) -> list[int]:
 
 
 def stats_block(stats: NormalizationStats) -> bytes:
-    head = struct.pack("<BBdI", 1, 1, stats.epsilon, stats.dim)
+    head = struct.pack("<BBdI", 1, 1, FORMAT_EPSILON, stats.dim)
     return head + stats.lo.astype("<f8").tobytes() + stats.hi.astype("<f8").tobytes()
 
 
@@ -546,7 +555,7 @@ def with_stats_cut(model: DELMModel, d: int) -> bytes:
     """The DLMM blob of model, which has stats, with the stats cut to their
     first d dimensions, resealed: no single-byte change gets there."""
     stats = model.feature_stats
-    cut = NormalizationStats(lo=stats.lo[:d], hi=stats.hi[:d], epsilon=stats.epsilon)
+    cut = NormalizationStats(lo=stats.lo[:d], hi=stats.hi[:d])
     payload = unsealed(model_blob(model))
     assert payload.count(stats_block(stats)) == 1
     return sealed(payload.replace(stats_block(stats), stats_block(cut)))
@@ -572,8 +581,8 @@ class TestLoadContract:
     the nested model's recomputed, a file either raises DataError or loads
     into something that classify_set runs on a probe of its dimension.
     Array payload bytes are skipped: any value is legal there. The stats
-    per-dimension byte of a model with stats must be 1: every other value
-    raises DataError naming it."""
+    per-dimension byte of a model with stats must be 1, and its epsilon
+    1e-6: every other value raises DataError naming it."""
 
     @pytest.fixture(scope="class")
     def small(self, tmp_path_factory):
@@ -612,10 +621,13 @@ class TestLoadContract:
         spans = blob_spans(payload) if kind == "DLMC" else []
         skip = {p for _, end in spans for p in range(end - 4, end)}
         per_dimension_at = None
+        epsilon_at = range(0)
         if kind in ("DLMM", "DLMC"):
             blob_at = spans[0][0] if spans else 0
             per_dimension_at = blob_at + stats_flags_at(models.global_model) + 1
             assert payload[per_dimension_at] == 1
+            epsilon_at = range(per_dimension_at + 1, per_dimension_at + 9)
+            assert payload[epsilon_at.start:epsilon_at.stop] == struct.pack("<d", FORMAT_EPSILON)
         for a in arrays:
             data = np.ascontiguousarray(a, dtype="<f8").tobytes()
             assert payload.count(data) == 1
@@ -645,6 +657,9 @@ class TestLoadContract:
                     rejected += 1
                     if pos == per_dimension_at:
                         assert f"stats per-dimension flag {value}, expected 1" in str(exc)
+                    if pos in epsilon_at:
+                        (eps,) = struct.unpack_from("<d", buf, epsilon_at.start)
+                        assert f"stats epsilon {eps!r}, expected 1e-06" in str(exc)
                     # a count or length that runs past the payload is named
                     if UNNAMED_TRUNCATION.search(str(exc)):
                         unnamed.append((pos, value, str(exc)))
@@ -652,6 +667,7 @@ class TestLoadContract:
                 except Exception as exc:
                     pytest.fail(f"{kind} byte {pos} set to {value}: {exc!r}")
                 assert pos != per_dimension_at, f"{kind} per-dimension flag {value} loaded"
+                assert pos not in epsilon_at, f"{kind} epsilon byte {pos} set to {value} loaded"
                 loaded += 1
         print(f"{kind}: {rejected} rejected, {loaded} loaded, {len(unnamed)} unnamed")
         assert rejected > 0
