@@ -34,6 +34,7 @@ from functools import partial
 import numpy as np
 
 from .elm import (
+    SCRATCH_BYTES,
     activate,
     all_finite,
     hidden_response,
@@ -44,8 +45,8 @@ from .elm import (
 from .normalize import EPSILON, NormalizationStats
 
 
-# Elements of 1 - p that logit forms at a time (64 KB).
-_LOGIT_BLOCK = 1 << 13
+# Elements of 1 - p that logit forms at a time: SCRATCH_BYTES of float64.
+_LOGIT_BLOCK = SCRATCH_BYTES // 8
 
 
 def logit(p, out=None):
@@ -147,7 +148,7 @@ def check_training_data(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError(f"expected a non-empty (d, s) matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
+    if not all_finite(X):
         raise ValueError("training features contain non-finite entries")
     if X.min() < 0.0 or X.max() > 1.0:
         raise ValueError(
@@ -199,7 +200,9 @@ def _fit_layers(blocks, H, responses, layer_C) -> Iterator[np.ndarray]:
     to the response of its fixed feature mapping. layer_C holds one
     tradeoff per hidden layer, then the decode's. H is the concatenation
     of blocks; with no reference left elsewhere, it is dropped once the
-    first layer's output exists.
+    first layer's output exists. The loop drops each W once its forward
+    product exists, so a caller that copies a layer out and drops its own
+    reference holds no layer through the next solve.
     """
     for response, C in zip(responses, layer_C):
         R = response(H)
@@ -209,6 +212,7 @@ def _fit_layers(blocks, H, responses, layer_C) -> Iterator[np.ndarray]:
         del R
         yield W
         out = W @ H
+        del W
         H = activate(out, out=out)
     yield _solve_decode(blocks, H, layer_C[-1])
 

@@ -195,9 +195,10 @@ def train_all(
     The class stack is allocated once. Each class, in label order, is
     refitted from the global model on its sets' feature arrays, passed as
     column blocks in canonical order, and each layer's weights are copied
-    into the class's stack slice as soon as they are solved. The global
-    model's training checks every gallery column, so the refits check
-    nothing again. Each pass holds at most two sample-sized matrices (see
+    into the class's stack slice as soon as they are solved, then dropped,
+    so no solved layer is held through the next solve. The global model's
+    training checks every gallery column, so the refits check nothing
+    again. Each pass holds at most two sample-sized matrices (see
     train_delm).
     """
     labels = gallery.classes
@@ -208,9 +209,18 @@ def train_all(
         members.setdefault(s.label, []).append(s.features)
     stacks = [np.empty((len(labels), *W.shape)) for W in global_model.weights]
     for k, label in enumerate(labels):
-        layers = refit_delm(global_model, members[label], config.layer_C)
-        for layer, W in zip(stacks, layers, strict=True):
-            layer[k] = W
+        # A plain loop: zip and enumerate keep their last item in the result
+        # tuple they reuse, which would hold a layer through the next solve.
+        depth = 0
+        for W in refit_delm(global_model, members[label], config.layer_C):
+            if depth < len(stacks):
+                stacks[depth][k] = W
+            del W
+            depth += 1
+        if depth != len(stacks):
+            raise ValueError(
+                f"refit of class {label!r} gave {depth} layers, the stack holds {len(stacks)}"
+            )
     class_stack = DELMModel(weights=stacks, dims=global_model.dims)
     return ClassModels(global_model, labels, class_stack, config)
 

@@ -334,19 +334,25 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="shape"):
             DELMModel(weights=[np.zeros((3, 5)), np.zeros((5, 4))], dims=(5, 3, 5))
 
-    @pytest.mark.parametrize("n", [5, 256], ids=["small", "above_sum_check"])
+    # (2, n, n) float64 weights: 400 B at n=5, below the sum check's bound;
+    # 625 KiB at n=200 and 1 MiB at n=256, above it
+    @pytest.mark.parametrize(
+        "n", [5, 200, 256], ids=["small", "sum_check_below_1mib", "above_sum_check"]
+    )
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
                                      [np.nan, 1e308, 1e308]])
     def test_non_finite_entries_rejected_without_warnings(self, bad, n):
         W = np.zeros((2, n, n))
         W.flat[: len(bad)] = bad
-        assert (W.nbytes >= elm._SUM_CHECK_BYTES) == (n == 256)
+        assert (W.nbytes >= elm._SUM_CHECK_BYTES) == (n > 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"weights\[1\] contains non-finite"):
                 DELMModel(weights=[np.zeros((2, n, n)), W], dims=(n, n, n))
 
-    @pytest.mark.parametrize("n", [5, 256], ids=["small", "above_sum_check"])
+    @pytest.mark.parametrize(
+        "n", [5, 200, 256], ids=["small", "sum_check_below_1mib", "above_sum_check"]
+    )
     def test_finite_entries_whose_sum_overflows_accepted(self, n):
         W = np.full((2, n, n), 1e308)
         W[0, 0, 0] = -1e308

@@ -1,6 +1,10 @@
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logit
 
@@ -32,6 +36,7 @@ from deepelm import (
 from deepelm.autoencoder import logit as ae_logit
 from deepelm.datasets import concat_features
 from deepelm.normalize import EPSILON, apply_stats
+from deepelm.persistence import load_models, save_models
 
 
 def constant_output_model(d: int, value: float, width: int = 3) -> DELMModel:
@@ -483,6 +488,97 @@ class TestVoteRuleProperties:
             errors[i, k] = 0.0
         labels = tuple(f"c{j}" for j in range(c))
         assert derive_label(errors, labels) == labels[k]
+
+
+# Kinds of legal training data, all finite and in [0, 1]
+DATA_KINDS = ("uniform", "zeros", "halves", "ones", "binary", "duplicated", "tiny")
+
+
+def legal_features(kind: str, d: int, s: int, rng) -> np.ndarray:
+    """A (d, s) matrix of one of DATA_KINDS."""
+    if kind == "uniform":
+        return rng.uniform(size=(d, s))
+    if kind in ("zeros", "halves", "ones"):
+        return np.full((d, s), {"zeros": 0.0, "halves": 0.5, "ones": 1.0}[kind])
+    if kind == "binary":
+        return rng.integers(0, 2, size=(d, s)).astype(float)
+    if kind == "duplicated":
+        return rng.uniform(size=(d, 2))[:, rng.integers(0, 2, size=s)]
+    return rng.uniform(size=(d, s)) * 1e-300  # "tiny"
+
+
+class TrainingCase(NamedTuple):
+    """A legal config and a gallery recipe: set_sizes has one tuple of
+    samples per set for each class."""
+
+    config: TrainConfig
+    kind: str
+    d: int
+    set_sizes: tuple[tuple[int, ...], ...]
+    normalized: bool
+    data_seed: int
+
+
+@st.composite
+def training_cases(draw):
+    d = draw(st.integers(1, 11))
+    h = draw(st.integers(1, 3))
+    widths, dim = [], d
+    for _ in range(h):
+        # a layer as wide as its input takes the Procrustes solve
+        dim = draw(st.one_of(st.just(dim), st.integers(1, 19)))
+        widths.append(dim)
+    config = TrainConfig(
+        hidden_layers=h,
+        layer_widths=widths,
+        layer_C=[10.0 ** draw(st.floats(-8.0, 18.0)) for _ in range(h + 1)],
+        seed=draw(st.integers(0, 2**32)),
+    )
+    classes = draw(st.integers(2, 4))
+    set_sizes = tuple(
+        tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))) for _ in range(classes)
+    )
+    return TrainingCase(
+        config, draw(st.sampled_from(DATA_KINDS)), d, set_sizes, draw(st.booleans()),
+        draw(st.integers(0, 2**32)),
+    )
+
+
+class TestEveryLegalConfigTrains:
+    """The correctness aim: every legal TrainConfig on finite data in
+    [0, 1] trains with no NumericError and no warning, and its models
+    classify, directly and from a saved bundle, with the same bits."""
+
+    @given(case=training_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    # 11 x 7,000 float64 decode targets (616,000 B): the finiteness checks
+    # take the sum path, not the mask
+    @example(case=TrainingCase(
+        TrainConfig(hidden_layers=2, layer_widths=(11, 19), layer_C=(1e-8, 1e6, 1e18)),
+        "uniform", 11, ((3500,), (1500, 2000)), True, 0,
+    ))
+    def test_trains_classifies_and_round_trips(self, case):
+        rng = np.random.default_rng(case.data_seed)
+        sets = [
+            ImageSet(legal_features(case.kind, case.d, s, rng), f"c{k}", f"c{k}_{i}")
+            for k, sizes in enumerate(case.set_sizes)
+            for i, s in enumerate(sizes)
+        ]
+        gallery, stats = Gallery(sets), None
+        if case.normalized:
+            gallery, stats = normalize_gallery(gallery)
+        models = train_all(gallery, case.config, feature_stats=stats)
+        probe = ImageSet(concat_features(sets), None, "probe")
+        pred = classify_set(probe, models)
+        assert pred.per_sample_errors.shape == (probe.n_samples, len(case.set_sizes))
+        assert np.isfinite(pred.per_sample_errors).all()
+        assert pred.set_label in models.class_labels
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "models.dlmc"
+            save_models(path, models)
+            loaded = classify_set(probe, load_models(path))
+        assert loaded.set_label == pred.set_label
+        assert loaded.per_sample_errors.tobytes() == pred.per_sample_errors.tobytes()
 
 
 class TestEndToEndDeterminism:

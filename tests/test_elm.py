@@ -372,15 +372,18 @@ class TestOrthogonalProcrustes:
             solve_orthogonal_procrustes(np.ones((4, 3)), np.ones((4, 2)))
 
 
-# 512 x 256 float64 is 1 MiB, from which size on an operand is checked
-# finite through its sum before its entries
-@pytest.mark.parametrize("rows", [8, 512], ids=["small", "above_sum_check"])
+# From elm._SUM_CHECK_BYTES (512 KiB) on, an operand is checked finite
+# through its sum before its entries. Rows of 256 float64 are 2 KiB: 8 rows
+# fall below the bound, 384 rows (768 KiB) and 512 rows (1 MiB) above it.
+@pytest.mark.parametrize(
+    "rows", [8, 384, 512], ids=["small", "sum_check_below_1mib", "above_sum_check"]
+)
 @pytest.mark.parametrize("operand", [0, 1], ids=["H", "T"])
 @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
 def test_solvers_reject_non_finite_inputs_without_warnings(rows, operand, bad):
     ops = [np.full((rows, 256), 0.5), np.full((rows, 256), 0.25)]
     ops[operand].flat[-len(bad):] = bad
-    assert (ops[operand].nbytes >= elm._SUM_CHECK_BYTES) == (rows == 512)
+    assert (ops[operand].nbytes >= elm._SUM_CHECK_BYTES) == (rows > 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="ridge solve rejects non-finite"):

@@ -24,7 +24,13 @@ from deepelm import (
 )
 from deepelm.autoencoder import logit
 from deepelm.datasets import concat_features
-from deepelm.elm import activate, hidden_response, random_orthonormal_mapping
+from deepelm.elm import (
+    _SUM_CHECK_BYTES,
+    SCRATCH_BYTES,
+    activate,
+    hidden_response,
+    random_orthonormal_mapping,
+)
 from deepelm.normalize import EPSILON
 
 
@@ -174,6 +180,68 @@ def test_class_models_reject_a_stack_of_other_dims(trained):
     )
     with pytest.raises(ValueError, match=r"class models with dims \(10, 4, 5, 10\) differ"):
         ClassModels(models.global_model, models.class_labels, narrower, models.config)
+
+
+def train_peak(gallery, config):
+    """(peak, models): the tracemalloc peak of train_all, in bytes above
+    what was allocated before it, after a warm call off the trace, and the
+    models of that warm call."""
+    norm, stats = normalize_gallery(gallery)
+    models = train_all(norm, config, feature_stats=stats)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        train_all(norm, config, feature_stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, models
+
+
+def nbytes(arrays):
+    return sum(A.nbytes for A in arrays)
+
+
+# Python objects and small arrays alive at a training peak besides the
+# arrays a budget names: 2.8-7.2 KiB on the galleries below.
+SLACK_BYTES = 16 << 10
+
+
+def test_global_phase_peak_holds_no_mask_beyond_scratch():
+    """With few classes the global model's training sets the peak: its
+    last representation and the decode targets, or its input and first
+    layer's output, both (d + w) x s float64, plus the global weights and
+    at most SCRATCH_BYTES of scratch (the logit's block, or a finiteness
+    mask).
+
+    The decode targets here lie between the sum check's bound and 1 MiB.
+    Checked finite through a boolean mask of an eighth of their bytes, they
+    would lift the peak by 63 KB, 33 KB past the budget.
+    """
+    d, w, s = 50, 20, 2400
+    gallery = make_blob_gallery(classes=4, sets_per_class=3, samples_per_set=s // 12, dim=d)
+    assert _SUM_CHECK_BYTES <= d * s * 8 < 1 << 20
+    peak, models = train_peak(gallery, small_config(widths=(w, w)))
+    assert peak <= 8 * (d + w) * s + nbytes(models.global_model.weights) + SCRATCH_BYTES + SLACK_BYTES
+
+
+def test_class_phase_peak_holds_no_layer_through_the_next_solve():
+    """With d equal to both widths and many classes the class phase sets
+    the peak: the class stack, the global weights, a class's two (d, s_k)
+    matrices and three d x d solve arrays (the decode's Gram, right-hand
+    side and output, or a Procrustes solve's U, Vt and their product).
+
+    A class's previous layer, d x d, held through its next solve would
+    lift the peak by 80 KB, 70 KB past the budget.
+    """
+    d, classes, s_k = 100, 20, 100
+    gallery = make_blob_gallery(classes=classes, sets_per_class=2, samples_per_set=s_k // 2, dim=d)
+    peak, models = train_peak(gallery, small_config(widths=(d, d)))
+    stack_bytes = nbytes(models.class_stack.weights)
+    assert stack_bytes > 2 * d * s_k * classes * 8  # above the global phase's two matrices
+    working_set = 8 * (2 * d * s_k + 3 * d * d)
+    assert peak <= stack_bytes + nbytes(models.global_model.weights) + working_set + SLACK_BYTES
 
 
 def test_training_peak_memory_stays_within_budget():
